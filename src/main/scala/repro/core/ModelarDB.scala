@@ -74,9 +74,11 @@ object ModelarDB {
   /** Ingest a batch of raw data points `(tid, ts, value)` into the store.
     *
     * Each group's points land in one task (the paper assigns a group to one
-    * worker to avoid shuffling at query time); within a task the rows are
-    * sorted, aligned into ticks, compressed with GOLEMM and the segments
-    * written directly to storage in batches (Table I's bulk-loading path).
+    * worker to avoid shuffling at query time), and planned partition p runs
+    * as task p, so each partition gets its own core and file. Within a task
+    * the rows are sorted, aligned into ticks, compressed with GOLEMM and the
+    * segments written directly to storage in batches (Table I's
+    * bulk-loading path).
     */
   def ingest(spark: SparkSession, cfg: Config, setup: Setup, points: DataFrame): IngestStats = {
     val t0        = System.nanoTime()
@@ -93,7 +95,7 @@ object ModelarDB {
     val prepared = points
       .withColumn("gid", gidUdf(col("tid")))
       .withColumn("pid", pidUdf(col("gid")))
-      .repartition(setup.numPartitions, col("pid"))
+      .repartitionById(setup.numPartitions, col("pid"))
       .sortWithinPartitions("gid", "ts", "tid")
       .select(col("gid").cast("int"), col("ts").cast("long"),
               col("tid").cast("int"), col("value").cast("float"))

@@ -67,18 +67,23 @@ trait ModelType extends Serializable {
     require(fromTick >= 0 && toTick < length && fromTick <= toTick,
             s"bad tick range [$fromTick,$toTick] for length $length")
     val values = decode(params, nSeries, length)
-    val out    = Array.fill(nSeries)(SeriesAgg.empty)
+    val sum    = new Array[Double](nSeries)
+    val min    = Array.fill(nSeries)(Double.PositiveInfinity)
+    val max    = Array.fill(nSeries)(Double.NegativeInfinity)
     var t = fromTick
     while (t <= toTick) {
       var s = 0
       while (s < nSeries) {
-        val v = values(t * nSeries + s)
-        out(s) = out(s).merge(SeriesAgg(1L, v.toDouble, v.toDouble, v.toDouble))
+        val v = values(t * nSeries + s).toDouble
+        sum(s) += v
+        min(s) = math.min(min(s), v)
+        max(s) = math.max(max(s), v)
         s += 1
       }
       t += 1
     }
-    out
+    val count = (toTick - fromTick + 1).toLong
+    Array.tabulate(nSeries)(s => SeriesAgg(count, sum(s), min(s), max(s)))
   }
 }
 

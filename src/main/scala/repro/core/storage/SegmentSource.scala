@@ -5,6 +5,7 @@ import java.nio.file.{Files, Paths}
 import java.util.UUID
 import scala.collection.mutable.ArrayBuffer
 
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, SupportsWrite, Table, TableCapability, TableProvider}
 import org.apache.spark.sql.connector.expressions.Transform
@@ -181,24 +182,39 @@ private final class SegmentScanBuilder(path: String)
     override def readSchema(): StructType = SegmentSource.Schema
     override def toBatch: Batch           = this
 
-    override def planInputPartitions(): Array[InputPartition] =
-      SegmentSource.listFiles(path).map(f => SegmentFilePartition(f.getAbsolutePath): InputPartition).toArray
+    /** At most one partition per core, the files spread over them by size
+      * (largest first onto the lightest), so the number of tasks does not
+      * grow with the number of ingest batches a store was written in.
+      */
+    override def planInputPartitions(): Array[InputPartition] = {
+      val files = SegmentSource.listFiles(path).sortBy(-_.length())
+      val n     = math.min(files.length, SparkSession.active.sparkContext.defaultParallelism)
+      val parts = Array.fill(n)(ArrayBuffer.empty[String])
+      val bytes = new Array[Long](n)
+      files.foreach { f =>
+        val i = bytes.indices.minBy(bytes(_))
+        parts(i) += f.getAbsolutePath
+        bytes(i) += f.length()
+      }
+      parts.map(p => SegmentFilesPartition(p.toSeq): InputPartition)
+    }
 
     override def createReaderFactory(): PartitionReaderFactory =
       new SegmentReaderFactory(pushed)
   }
 }
 
-private final case class SegmentFilePartition(file: String) extends InputPartition
+private final case class SegmentFilesPartition(files: Seq[String]) extends InputPartition
 
 private final class SegmentReaderFactory(pushed: SegmentSource.Pushed)
     extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
-    val file  = partition.asInstanceOf[SegmentFilePartition].file
-    val bytes = Files.readAllBytes(Paths.get(file))
-    val rows: Iterator[SegmentRecord] =
+    val files = partition.asInstanceOf[SegmentFilesPartition].files
+    val rows: Iterator[SegmentRecord] = files.iterator.flatMap { file =>
+      val bytes = Files.readAllBytes(Paths.get(file))
       if (!pushed.matchesFile(SegmentCodec.stats(bytes))) Iterator.empty
       else SegmentCodec.decode(bytes).iterator.filter(pushed.matchesRow)
+    }
     new PartitionReader[InternalRow] {
       private var cur: SegmentRecord = _
       override def next(): Boolean = { if (rows.hasNext) { cur = rows.next(); true } else false }

@@ -4,7 +4,6 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.core.Catalog
-import repro.core.model.ModelType
 
 /** The paper's Data Point View (Section VI-A): every segment's model is
   * evaluated on its timestamp grid to reconstruct the data points within the
@@ -16,26 +15,18 @@ import repro.core.model.ModelType
   */
 object DataPointView {
 
-  /** Build the Data Point View on top of a [[SegmentView]] DataFrame. */
+  /** Build the Data Point View on top of a [[SegmentView]] DataFrame. Each
+    * member row takes its series from [[SegmentEval.values]], so a segment is
+    * decoded once for all its members.
+    */
   def fromSegmentView(segView: DataFrame): DataFrame = {
-    val reconstruct = udf {
-      (start: Long, end: Long, si: Int, mid: Int, params: Array[Byte],
-       sidx: Int, nseries: Int, scaling: Double) =>
-        val mt     = ModelType.byMid(mid)
-        val len    = ((end - start) / si).toInt + 1
-        val values = mt.decode(params, nseries, len)
-        (0 until len).map { t =>
-          (start + t.toLong * si, (values(t * nseries + sidx) * scaling).toFloat)
-        }
-    }
-    val keep = segView.columns.filterNot(c =>
-      SegmentView.SegFields.contains(c) || c == "seg" || c == "gaps" || c == "gid")
+    val keep = SegmentView.passThrough(segView)
     segView
-      .withColumn("p", explode(reconstruct(
-        col("start_time"), col("end_time"), col("si"), col("mid"),
-        col("params"), col("sidx"), col("nseries"), col("scaling"))))
-      .select((keep.map(col) :+ col("p._1").as("ts") :+ col("p._2").as("value")): _*)
-      .select("tid", ("ts" +: "value" +: keep.filterNot(_ == "tid").toSeq): _*)
+      .select((keep ++ Seq("start_time", "si")).map(col) :+
+        posexplode(SegmentView.segUdf(_.values)).as(Seq("tick", "value")): _*)
+      .select(col("tid") +:
+        (col("start_time") + col("tick").cast("long") * col("si")).as("ts") +:
+        col("value") +: keep.filterNot(_ == "tid").map(col): _*)
   }
 
   /** Build the view directly from a store path, optionally restricted to

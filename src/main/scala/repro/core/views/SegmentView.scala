@@ -2,6 +2,7 @@ package repro.core.views
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.reflect.runtime.universe.TypeTag
 
 import repro.core.Catalog
 import repro.core.storage.SegmentSource
@@ -19,9 +20,27 @@ import repro.core.storage.SegmentSource
   */
 object SegmentView {
 
-  /** The struct column consumed by the model UDAFs. */
+  /** The model columns of a row: the `seg` struct's fields, the `*_S`
+    * arguments and the input of every view UDF that evaluates a segment.
+    */
   val SegFields: Seq[String] =
     Seq("start_time", "end_time", "si", "mid", "params", "sidx", "nseries", "scaling")
+
+  /** A UDF over a Segment View row's [[SegFields]], applied to them: how the
+    * Data Point View and `CUBE_*` reach [[SegmentEval]].
+    */
+  private[views] def segUdf[R: TypeTag](f: Udafs.Seg => R): Column =
+    udf { (start: Long, end: Long, si: Int, mid: Int, params: Array[Byte],
+           sidx: Int, nseries: Int, scaling: Double) =>
+      f(Udafs.Seg(start, end, si, mid, params, sidx, nseries, scaling))
+    }.apply(SegFields.map(col): _*)
+
+  /** The columns a per-segment result keeps from a Segment View: `tid`, the
+    * dimension columns and any caller-added ones, without the model internals.
+    */
+  private[views] def passThrough(segView: DataFrame): Seq[String] =
+    segView.columns.toSeq.filterNot(c =>
+      SegFields.contains(c) || c == "seg" || c == "gaps" || c == "gid")
 
   /** Build the Segment View.
     *
@@ -103,15 +122,10 @@ object SegmentView {
       level: Int,
       member: String,
   ): DataFrame = {
-    val gids = catalog.gidsForMember(dimension, level, member)
     val matching = catalog.series.filter { ts =>
       val ms = ts.dims.getOrElse(dimension, IndexedSeq.empty)
       ms.length >= level && level >= 1 && ms(level - 1) == member
     }.map(_.tid)
-    val base = apply(spark, storePath, catalog, tids = Some(matching))
-    base // tids rewrite already restricted the scan to the member's gids
+    apply(spark, storePath, catalog, tids = Some(matching))
   }
-
-  /** Convenience: the `seg` struct column expression. */
-  def segColumn: Column = col("seg")
 }

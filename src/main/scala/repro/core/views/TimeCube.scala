@@ -6,8 +6,6 @@ import java.time.temporal.ChronoUnit
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.core.model.ModelType
-
 /** Aggregates in the time dimension computed directly on models — the
   * paper's `CUBE_<AGGREGATE>_<INTERVAL>` UDAFs (Section VI-C, Algorithm 3).
   *
@@ -52,37 +50,12 @@ object TimeCube {
     * with `sum(cnt), sum(psum), min(pmin), max(pmax)` (Algorithm 3's Iterate
     * step, vectorized over segments).
     */
-  def partials(segView: DataFrame, interval: Interval): DataFrame = {
-    val cut = udf {
-      (start: Long, end: Long, si: Int, mid: Int, params: Array[Byte],
-       sidx: Int, nseries: Int, scaling: Double) =>
-        val mt  = ModelType.byMid(mid)
-        val len = ((end - start) / si).toInt + 1
-        val out = scala.collection.mutable.ArrayBuffer.empty[(Long, Long, Double, Double, Double)]
-        var bucket = interval.floor(start)
-        while (bucket <= end) {
-          val bucketEnd = interval.next(bucket) - 1 // inclusive
-          val fromTick  = if (bucket <= start) 0
-                          else (((bucket - start) + si - 1) / si).toInt
-          val toTick    = math.min((len - 1).toLong, (bucketEnd - start) / si).toInt
-          if (fromTick <= toTick) {
-            val a = Udafs.scale(mt.aggregate(params, nseries, len, fromTick, toTick)(sidx), scaling)
-            out += ((bucket, a.count, a.sum, a.min, a.max))
-          }
-          bucket = interval.next(bucket)
-        }
-        out.toSeq
-    }
-    val keep = segView.columns.filterNot(c =>
-      SegmentView.SegFields.contains(c) || c == "seg" || c == "gaps" || c == "gid")
+  def partials(segView: DataFrame, interval: Interval): DataFrame =
     segView
-      .withColumn("b", explode(cut(
-        col("start_time"), col("end_time"), col("si"), col("mid"),
-        col("params"), col("sidx"), col("nseries"), col("scaling"))))
-      .select((keep.map(col) :+
+      .withColumn("b", explode(SegmentView.segUdf(_.buckets(interval))))
+      .select((SegmentView.passThrough(segView).map(col) :+
         col("b._1").as("bucket") :+ col("b._2").as("cnt") :+
         col("b._3").as("psum") :+ col("b._4").as("pmin") :+ col("b._5").as("pmax")): _*)
-  }
 
   /** The paper's `CUBE_<AGG>_<INTERVAL>` as a DataFrame transformation:
     * aggregate per time bucket (and any `groupCols`, e.g. `tid` or dimension

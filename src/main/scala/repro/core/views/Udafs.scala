@@ -5,7 +5,6 @@ import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions.udaf
 
 import repro.core.Types.SeriesAgg
-import repro.core.model.ModelType
 
 /** The paper's simple-aggregate UDAFs on the Segment View (Section VI-B):
   * `COUNT_S`, `MIN_S`, `MAX_S`, `SUM_S`, `AVG_S`, each consuming the view's
@@ -16,7 +15,10 @@ import repro.core.model.ModelType
   */
 object Udafs {
 
-  /** Mirror of the Segment View's `seg` struct (field order matters). */
+  /** One Segment View row's model columns, in [[SegmentView.SegFields]]
+    * order (field order matters): the `seg` struct, the `*_S` arguments and
+    * the input of every view UDF that evaluates a segment.
+    */
   final case class Seg(
       start_time: Long,
       end_time: Long,
@@ -27,12 +29,26 @@ object Udafs {
       nseries: Int,
       scaling: Double,
   ) {
-    def len: Int = ((end_time - start_time) / si).toInt + 1
-
     /** This series' aggregate over the whole segment, scaling applied. */
-    def seriesAgg: SeriesAgg = {
-      val a = ModelType.byMid(mid).aggregate(params, nseries, len, 0, len - 1)(sidx)
-      Udafs.scale(a, scaling)
+    def seriesAgg: SeriesAgg =
+      Udafs.scale(SegmentEval.aggregates(mid, start_time, end_time, si, params, nseries)(sidx),
+                  scaling)
+
+    /** This series' reconstructed values, one per tick, scaling applied. */
+    def values: Array[Float] = {
+      val all = SegmentEval.values(mid, start_time, end_time, si, params, nseries)
+      Array.tabulate(all.length / nseries)(t => (all(t * nseries + sidx) * scaling).toFloat)
+    }
+
+    /** This series' `(bucket, count, sum, min, max)` per bucket of
+      * `interval`, scaling applied.
+      */
+    def buckets(interval: TimeCube.Interval): Seq[(Long, Long, Double, Double, Double)] = {
+      val b = SegmentEval.buckets(mid, start_time, end_time, si, params, nseries, interval)
+      b.starts.indices.map { i =>
+        val a = Udafs.scale(b.aggs(i)(sidx), scaling)
+        (b.starts(i), a.count, a.sum, a.min, a.max)
+      }
     }
   }
 

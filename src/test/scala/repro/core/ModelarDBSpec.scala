@@ -1,11 +1,13 @@
 package repro.core
 
+import java.nio.file.Files
+
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestStore}
 import repro.core.golemm.GolemmConfig
 import repro.core.grouping.{Correlation, ScalingRule}
 import repro.core.model.ModelType
-import repro.core.storage.SegmentSource
+import repro.core.storage.{SegmentCodec, SegmentSource}
 import repro.data.TimeSeriesGen
 
 /** End-to-end: setup (grouping/partitioning) → ingest → store → query views,
@@ -42,6 +44,20 @@ class ModelarDBSpec extends SparkSpec {
     assert(setup.numPartitions == 4)
     assert(setup.partitionOf.keySet == setup.catalog.groups.map(_.gid).toSet)
     assert(setup.partitionOf.values.forall(p => p >= 0 && p < 4))
+  }
+
+  test("ingest writes one file per non-empty planned partition, holding exactly its gids") {
+    val ds    = TimeSeriesGen.epLike(spark, sf = 0.001, gapProb = 0.0, seed = 98)
+    val cfg   = ModelarDB.Config(storePath = TestStore.tmpDir("by-pid"), numPartitions = 4)
+    val setup = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Seq(Correlation.Auto()))
+    assert(setup.catalog.groups.length >= 4)
+    ModelarDB.ingest(spark, cfg, setup, ds.points)
+    val fileGids = SegmentSource.listFiles(cfg.storePath).map { f =>
+      SegmentCodec.decode(Files.readAllBytes(f.toPath)).map(_.gid).toSet
+    }
+    val planned = setup.partitionOf.groupBy(_._2).values.map(_.keySet).toSet
+    assert(fileGids.length == planned.size)
+    assert(fileGids.toSet == planned)
   }
 
   test("ingest stats add up and the store is written") {

@@ -93,6 +93,16 @@ class SegmentSourceSpec extends SparkSpec {
     assert(used.length == 4)
   }
 
+  test("many files are read in at most one partition per core, each row once") {
+    val dir = tmpDir()
+    segments.grouped(5).foreach(SegmentSource.writeFile(dir, _))
+    val cores = spark.sparkContext.defaultParallelism
+    assert(SegmentSource.listFiles(dir).length == 20 && cores < 20)
+    val df = spark.read.format(SegmentSource.FormatName).load(dir)
+    assert(df.rdd.getNumPartitions == cores)
+    assert(df.select("gid", "start_time").distinct().count() == 100 && df.count() == 100)
+  }
+
   test("reading a missing directory yields an empty frame") {
     val df = spark.read.format(SegmentSource.FormatName).load(tmpDir() + "/nope")
     assert(df.count() == 0)
