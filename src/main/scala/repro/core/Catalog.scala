@@ -8,6 +8,10 @@ import repro.core.grouping.DimensionSpec
   * membership needed to map query Tids to stored Gids (paper Section VI-B).
   * Small (O(#series)) and shipped to executors inside task closures, mirroring
   * the paper's in-memory dimension cache.
+  *
+  * Construction checks the invariants ingestion relies on: a group has at
+  * most 64 members (the Gaps bitmask), its members share one sampling
+  * interval (a segment has one SI), and the groups partition `series`.
   */
 final case class Catalog(
     series: IndexedSeq[TimeSeriesMeta],
@@ -20,6 +24,21 @@ final case class Catalog(
   @transient lazy val gidOf: Map[Int, Int] =
     groups.flatMap(g => g.tids.map(_ -> g.gid)).toMap
 
+  groups.foreach { g =>
+    require(g.tids.length <= 64,
+      s"group ${g.gid} has ${g.tids.length} members; the Gaps bitmask allows at most 64")
+    g.tids.foreach(t => require(byTid.contains(t), s"group ${g.gid} member $t is not a known series"))
+    val sis = g.tids.map(byTid(_).si).distinct
+    require(sis.length == 1, s"group ${g.gid} mixes sampling intervals ${sis.mkString(", ")}")
+  }
+  locally {
+    val groupsPerTid = groups.flatMap(_.tids).groupMapReduce(identity)(_ => 1)(_ + _)
+    series.foreach { ts =>
+      val in = groupsPerTid.getOrElse(ts.tid, 0)
+      require(in == 1, s"series ${ts.tid} is in $in groups; it must be in exactly one")
+    }
+  }
+
   /** Members of a group in sorted-tid order — the order of the Gaps bitmask. */
   def membersOf(gid: Int): IndexedSeq[Int] = byGid(gid).tids
 
@@ -30,13 +49,15 @@ final case class Catalog(
     * 1-based `level` of `dimension` — the paper's WHERE-clause member
     * rewrite (Section VI-B).
     */
-  def gidsForMember(dimension: String, level: Int, member: String): Set[Int] = {
-    val matching = series.filter { ts =>
+  def gidsForMember(dimension: String, level: Int, member: String): Set[Int] =
+    gidsForTids(tidsForMember(dimension, level, member))
+
+  /** Tids of the series with `member` at 1-based `level` of `dimension`. */
+  def tidsForMember(dimension: String, level: Int, member: String): Seq[Int] =
+    series.filter { ts =>
       val ms = ts.dims.getOrElse(dimension, IndexedSeq.empty)
       ms.length >= level && level >= 1 && ms(level - 1) == member
-    }.map(_.tid).toSet
-    groups.filter(_.tids.exists(matching)).map(_.gid).toSet
-  }
+    }.map(_.tid)
 
   /** Denormalized dimension columns of the views: (columnName, dimension,
     * 0-based level index), e.g. `location_park` for level `Park` of

@@ -1,8 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, Encoders, SparkSession}
+import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
 import org.apache.spark.sql.functions._
-import scala.collection.mutable.ArrayBuffer
+import scala.jdk.CollectionConverters._
 
 import repro.core.Types._
 import repro.core.golemm.{Compressor, GolemmConfig}
@@ -12,8 +12,8 @@ import repro.core.views.{DataPointView, SegmentView, TimeCube, Udafs}
 
 /** End-to-end ModelarDB+ on Spark: static grouping and partitioning on the
   * driver (the paper's master, Figure 3a), GOLEMM compression of each group
-  * inside one task (Figure 3b), direct segment writes to the group store, and
-  * the two query views.
+  * inside one task (Figure 3b), segment writes straight to the group store
+  * through its one committed write, and the two query views.
   */
 object ModelarDB {
 
@@ -22,7 +22,6 @@ object ModelarDB {
       storePath: String,
       golemm: GolemmConfig = GolemmConfig(),
       numPartitions: Int = 0,      // 0 = spark default parallelism
-      writeBatchSegments: Int = 50000,
   )
 
   /** Result of the static grouping/partitioning phase. */
@@ -76,9 +75,10 @@ object ModelarDB {
     * Each group's points land in one task (the paper assigns a group to one
     * worker to avoid shuffling at query time), and planned partition p runs
     * as task p, so each partition gets its own core and file. Within a task
-    * the rows are sorted, aligned into ticks, compressed with GOLEMM and the
-    * segments written directly to storage in batches (Table I's
-    * bulk-loading path).
+    * the rows are sorted, aligned into ticks and compressed with GOLEMM, and
+    * the segments go directly to storage (Table I's bulk-loading path)
+    * through the store's DataSourceV2 write: one file per task, visible only
+    * once the whole ingest commits. Duplicate `(tid, ts)` points fail it.
     */
   def ingest(spark: SparkSession, cfg: Config, setup: Setup, points: DataFrame): IngestStats = {
     val t0        = System.nanoTime()
@@ -86,8 +86,6 @@ object ModelarDB {
     val gidOf     = catalog.gidOf
     val partOf    = setup.partitionOf
     val golemm    = cfg.golemm
-    val storePath = cfg.storePath
-    val batchSize = cfg.writeBatchSegments
 
     val gidUdf = udf { (tid: Int) => gidOf(tid) }
     val pidUdf = udf { (gid: Int) => partOf(gid) }
@@ -100,19 +98,11 @@ object ModelarDB {
       .select(col("gid").cast("int"), col("ts").cast("long"),
               col("tid").cast("int"), col("value").cast("float"))
 
-    implicit val statsEnc = Encoders.product[Compressor.GroupStats]
-    val statsDs: Dataset[Compressor.GroupStats] = prepared.mapPartitions { rows =>
-      val pending = ArrayBuffer.empty[SegmentRecord]
-      val stats   = ArrayBuffer.empty[Compressor.GroupStats]
-
-      def flushPending(force: Boolean): Unit =
-        if (pending.nonEmpty && (force || pending.length >= batchSize)) {
-          SegmentSource.writeFile(storePath, pending.toSeq)
-          pending.clear()
-        }
-
+    val groupStats = spark.sparkContext.collectionAccumulator[Compressor.GroupStats]("groupStats")
+    implicit val segmentEnc = Encoders.product[SegmentRecord]
+    val segments = prepared.mapPartitions { rows =>
       val it = rows.buffered
-      while (it.hasNext) {
+      Iterator.continually(()).takeWhile(_ => it.hasNext).flatMap { _ =>
         val gid     = it.head.getInt(0)
         val members = catalog.membersOf(gid)
         val scalings = members.map(t => catalog.byTid(t).scaling).toArray
@@ -123,19 +113,17 @@ object ModelarDB {
             val r = it.next(); (r.getLong(1), r.getInt(2), r.getFloat(3))
           }
         }
-        val ticks = Compressor.ticksFromSortedPoints(members, groupRows)
-        val (segments, st) =
+        val ticks = Compressor.ticksFromSortedPoints(members, groupRows, gid)
+        val (segs, st) =
           Compressor.compressGroup(gid, members.length, si, scalings, ticks, golemm)
-        pending ++= segments
-        flushPending(force = false)
-        stats += st
+        groupStats.add(st)
+        segs
       }
-      flushPending(force = true)
-      stats.iterator
     }
+    segments.toDF(SegmentSource.Schema.fieldNames.toSeq: _*)
+      .write.format(SegmentSource.FormatName).mode("append").save(cfg.storePath)
 
-    val all = statsDs.collect()
-    val agg = all.foldLeft(Compressor.GroupStats.zero)(_ merge _)
+    val agg = groupStats.value.asScala.foldLeft(Compressor.GroupStats.zero)(_ merge _)
     IngestStats(
       points = agg.points,
       segments = agg.segments,

@@ -105,11 +105,14 @@ object Compressor {
 
   /** Build the aligned tick stream for a group from per-point rows sorted by
     * (ts, tid). `tids` must be the group's members in sorted order; rows with
-    * tids outside the group are rejected. Ticks missing a member get NaN.
+    * tids outside the group, and a second point for the same `(tid, ts)`, are
+    * rejected. Ticks missing a member get NaN. `gid` only names the group in
+    * those errors.
     */
   def ticksFromSortedPoints(
       tids: IndexedSeq[Int],
       rows: Iterator[(Long, Int, Float)],
+      gid: Int = -1,
   ): Iterator[(Long, Array[Float])] = {
     val pos = tids.zipWithIndex.toMap
     new Iterator[(Long, Array[Float])] {
@@ -118,10 +121,14 @@ object Compressor {
       override def next(): (Long, Array[Float]) = {
         val ts     = it.head._1
         val values = Array.fill(tids.length)(Float.NaN)
+        var prev   = -1
         while (it.hasNext && it.head._1 == ts) {
           val (_, tid, v) = it.next()
-          val p = pos.getOrElse(tid, sys.error(s"tid $tid is not a member of this group"))
+          val p = pos.getOrElse(tid, sys.error(s"tid $tid is not a member of group $gid"))
+          if (p == prev)
+            throw new IllegalArgumentException(s"duplicate point in group $gid: tid $tid at ts $ts")
           values(p) = v
+          prev = p
         }
         (ts, values)
       }

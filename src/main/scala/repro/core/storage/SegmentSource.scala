@@ -1,7 +1,7 @@
 package repro.core.storage
 
 import java.io.File
-import java.nio.file.{Files, Paths}
+import java.nio.file.{DirectoryNotEmptyException, Files, Paths, StandardCopyOption}
 import java.util.UUID
 import scala.collection.mutable.ArrayBuffer
 
@@ -28,6 +28,10 @@ import repro.core.Types.SegmentRecord
   * min/max header and for row filtering during the scan. Pushed filters are
   * also left in the residual so Catalyst re-checks them — push-down here is
   * a pruning optimization, never a correctness dependency.
+  *
+  * Segments reach the store only through this source's batch write
+  * (`df.write.format(FormatName).mode("append").save(path)`), whose files
+  * become visible together when the job commits.
   */
 final class SegmentSource extends TableProvider {
   override def inferSchema(options: CaseInsensitiveStringMap): StructType = SegmentSource.Schema
@@ -114,20 +118,19 @@ object SegmentSource {
     a.map(_.intersect(b)).getOrElse(b)
   private def bump(cur: Long, v: Long): Long = math.max(cur, v)
 
-  /** List the `.sgmt` files under a store path, stable order. */
+  /** List the committed `.sgmt` files directly under a store path, stable
+    * order; staged files under `_staging/` are not part of the store.
+    */
   def listFiles(path: String): Seq[File] = {
     val dir = new File(path)
     if (!dir.exists()) Seq.empty
     else dir.listFiles((_, n) => n.endsWith(".sgmt")).toSeq.sortBy(_.getName)
   }
 
-  /** Bulk write used by ingestion's direct path (Table I: "write segments
-    * directly to storage when bulk-loading"): encodes the batch into one new
-    * file under `path`.
+  /** Encode `segments` into one new `.sgmt` file in the existing directory
+    * `dir`. Only the DataSourceV2 writer calls it, with its staging directory.
     */
-  def writeFile(path: String, segments: Seq[SegmentRecord]): File = {
-    val dir = new File(path)
-    if (!dir.exists()) dir.mkdirs()
+  private[storage] def writeFile(dir: String, segments: Seq[SegmentRecord]): File = {
     val f = new File(dir, s"part-${UUID.randomUUID().toString.take(12)}.sgmt")
     Files.write(f.toPath, SegmentCodec.encode(segments))
     f
@@ -157,7 +160,7 @@ private final class SegmentTable(path: String) extends Table with SupportsRead w
 
   override def newWriteBuilder(info: LogicalWriteInfo): WriteBuilder = new WriteBuilder {
     override def build(): Write = new Write {
-      override def toBatch: BatchWrite = new SegmentBatchWrite(path)
+      override def toBatch: BatchWrite = new SegmentBatchWrite(path, info.queryId())
     }
   }
 }
@@ -226,27 +229,54 @@ private final class SegmentReaderFactory(pushed: SegmentSource.Pushed)
 
 // ---- write -----------------------------------------------------------------
 
-private final class SegmentBatchWrite(path: String) extends BatchWrite {
-  override def createBatchWriterFactory(info: PhysicalWriteInfo): DataWriterFactory =
-    new SegmentWriterFactory(path)
-  override def commit(messages: Array[WriterCommitMessage]): Unit = ()
-  override def abort(messages: Array[WriterCommitMessage]): Unit =
+/** The store's one write path. Each task encodes its rows into one file under
+  * `<store>/_staging/<queryId>/`; the job commit moves the files named in the
+  * commit messages into the store, so readers, which list only top-level
+  * `.sgmt` files, see a job's files only once it has committed. Files of
+  * failed or duplicate task attempts are never named and are deleted with
+  * the staging directory, on commit and on abort alike.
+  */
+private final class SegmentBatchWrite(path: String, queryId: String) extends BatchWrite {
+  private val root    = Paths.get(path, "_staging")
+  private val staging = root.resolve(queryId)
+
+  // Created here, before any task runs, so a task that outlives an abort
+  // fails to write instead of re-creating the directory.
+  override def createBatchWriterFactory(info: PhysicalWriteInfo): DataWriterFactory = {
+    Files.createDirectories(staging)
+    new SegmentWriterFactory(staging.toString)
+  }
+
+  override def commit(messages: Array[WriterCommitMessage]): Unit = {
     messages.foreach {
-      case SegmentWriteCommit(file) if file.nonEmpty => new File(file).delete()
-      case _                                         => ()
+      case SegmentWriteCommit(file) if file.nonEmpty =>
+        val src = Paths.get(file)
+        Files.move(src, Paths.get(path, src.getFileName.toString), StandardCopyOption.ATOMIC_MOVE)
+      case _ => ()
     }
+    removeStaging()
+  }
+
+  override def abort(messages: Array[WriterCommitMessage]): Unit = removeStaging()
+
+  private def removeStaging(): Unit = {
+    Option(staging.toFile.listFiles()).foreach(_.foreach(_.delete()))
+    Files.deleteIfExists(staging)
+    // Another write's staging directory keeps `_staging` alive.
+    try Files.deleteIfExists(root) catch { case _: DirectoryNotEmptyException => () }
+  }
 }
 
 private final case class SegmentWriteCommit(file: String) extends WriterCommitMessage
 
-private final class SegmentWriterFactory(path: String) extends DataWriterFactory {
+private final class SegmentWriterFactory(stagingDir: String) extends DataWriterFactory {
   override def createWriter(partitionId: Int, taskId: Long): DataWriter[InternalRow] =
     new DataWriter[InternalRow] {
       private val buf = ArrayBuffer.empty[SegmentRecord]
       override def write(record: InternalRow): Unit = buf += SegmentSource.fromRow(record)
       override def commit(): WriterCommitMessage =
         if (buf.isEmpty) SegmentWriteCommit("")
-        else SegmentWriteCommit(SegmentSource.writeFile(path, buf.toSeq).getAbsolutePath)
+        else SegmentWriteCommit(SegmentSource.writeFile(stagingDir, buf.toSeq).getAbsolutePath)
       override def abort(): Unit = ()
       override def close(): Unit = ()
     }

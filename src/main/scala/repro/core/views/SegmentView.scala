@@ -10,18 +10,17 @@ import repro.core.storage.SegmentSource
 /** The paper's Segment View (Section VI-A): segments from the group store
   * exploded to one row per represented time series, with the series'
   * denormalized dimensions attached, schema
-  * `(tid, start_time, end_time, si, mid, params, gaps, sidx, nseries,
-  * scaling, seg, <dimension columns>)`.
+  * `(tid, gid, start_time, end_time, si, mid, params, gaps, sidx, nseries,
+  * scaling, <dimension columns>)`.
   *
-  * `sidx`/`nseries` locate the series inside the segment's parameter blob and
-  * `seg` packs the model columns into one struct for the `*_S` UDAFs. Queries
-  * and results use Tids only; Gids are derived here and pushed to the segment
-  * store (Section VI-B).
+  * `sidx`/`nseries` locate the series inside the segment's parameter blob.
+  * Queries and results use Tids only; Gids are derived here and pushed to
+  * the segment store (Section VI-B).
   */
 object SegmentView {
 
-  /** The model columns of a row: the `seg` struct's fields, the `*_S`
-    * arguments and the input of every view UDF that evaluates a segment.
+  /** The model columns of a row: the `*_S` arguments and the input of every
+    * view UDF that evaluates a segment.
     */
   val SegFields: Seq[String] =
     Seq("start_time", "end_time", "si", "mid", "params", "sidx", "nseries", "scaling")
@@ -40,7 +39,7 @@ object SegmentView {
     */
   private[views] def passThrough(segView: DataFrame): Seq[String] =
     segView.columns.toSeq.filterNot(c =>
-      SegFields.contains(c) || c == "seg" || c == "gaps" || c == "gid")
+      SegFields.contains(c) || c == "gaps" || c == "gid")
 
   /** Build the Segment View.
     *
@@ -106,8 +105,7 @@ object SegmentView {
       }
       view = view.drop("_dims")
     }
-
-    view.withColumn("seg", struct(SegFields.map(col): _*))
+    view
   }
 
   /** Segment-view scan for one dimension member predicate: the member is
@@ -121,11 +119,6 @@ object SegmentView {
       dimension: String,
       level: Int,
       member: String,
-  ): DataFrame = {
-    val matching = catalog.series.filter { ts =>
-      val ms = ts.dims.getOrElse(dimension, IndexedSeq.empty)
-      ms.length >= level && level >= 1 && ms(level - 1) == member
-    }.map(_.tid)
-    apply(spark, storePath, catalog, tids = Some(matching))
-  }
+  ): DataFrame =
+    apply(spark, storePath, catalog, tids = Some(catalog.tidsForMember(dimension, level, member)))
 }

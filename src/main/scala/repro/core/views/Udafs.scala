@@ -8,16 +8,16 @@ import repro.core.Types.SeriesAgg
 
 /** The paper's simple-aggregate UDAFs on the Segment View (Section VI-B):
   * `COUNT_S`, `MIN_S`, `MAX_S`, `SUM_S`, `AVG_S`, each consuming the view's
-  * `seg` struct column and computing the aggregate *on the model* — constant
-  * time per segment for constant/linear model types, linear in the segment
-  * length only for lossless ones. Multi-dimensional aggregates reduce to
-  * these via GROUP BY on the view's dimension columns.
+  * model columns ([[SegArgsSql]]) and computing the aggregate *on the
+  * model* — constant time per segment for constant/linear model types,
+  * linear in the segment length only for lossless ones. Multi-dimensional
+  * aggregates reduce to these via GROUP BY on the view's dimension columns.
   */
 object Udafs {
 
   /** One Segment View row's model columns, in [[SegmentView.SegFields]]
-    * order (field order matters): the `seg` struct, the `*_S` arguments and
-    * the input of every view UDF that evaluates a segment.
+    * order (field order matters): the `*_S` arguments and the input of every
+    * view UDF that evaluates a segment.
     */
   final case class Seg(
       start_time: Long,

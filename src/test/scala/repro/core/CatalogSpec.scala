@@ -60,6 +60,29 @@ class CatalogSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Group(1, IndexedSeq.empty[Int]))
   }
 
+  test("a group of more than 64 members is rejected (the Gaps bitmask)") {
+    val many = (1 to 65).map(TimeSeriesMeta(_, 100))
+    val e = intercept[IllegalArgumentException](
+      Catalog(many, IndexedSeq(Group(1, many.map(_.tid))), Nil))
+    assert(e.getMessage.contains("group 1 has 65 members"))
+    Catalog(many.take(64), IndexedSeq(Group(1, (1 to 64))), Nil) // 64 is allowed
+  }
+
+  test("a group mixing sampling intervals is rejected") {
+    val e = intercept[IllegalArgumentException](Catalog(
+      IndexedSeq(TimeSeriesMeta(1, 100), TimeSeriesMeta(2, 200)),
+      IndexedSeq(Group(7, IndexedSeq(1, 2))), Nil))
+    assert(e.getMessage.contains("group 7 mixes sampling intervals 100, 200"))
+  }
+
+  test("every series is in exactly one group and every member is a series") {
+    def msg(groups: Group*): String = intercept[IllegalArgumentException](
+      Catalog(series, groups.toIndexedSeq, dims)).getMessage
+    assert(msg(Group(1, IndexedSeq(1, 2)), Group(2, IndexedSeq(3))).contains("series 4 is in 0 groups"))
+    assert(msg(groups :+ Group(3, IndexedSeq(2)): _*).contains("series 2 is in 2 groups"))
+    assert(msg(groups :+ Group(3, IndexedSeq(5)): _*).contains("group 3 member 5 is not a known series"))
+  }
+
   test("SeriesAgg merge combines statistics") {
     import repro.core.Types.SeriesAgg
     val a = SeriesAgg(2, 10.0, 1.0, 9.0)

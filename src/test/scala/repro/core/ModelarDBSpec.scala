@@ -60,6 +60,20 @@ class ModelarDBSpec extends SparkSpec {
     assert(fileGids.toSet == planned)
   }
 
+  test("ingest rejects a duplicate (tid, ts) point and leaves the store empty") {
+    val ds    = TimeSeriesGen.epLike(spark, sf = 0.001, gapProb = 0.0, seed = 98)
+    val cfg   = ModelarDB.Config(storePath = TestStore.tmpDir("dup"), numPartitions = 4)
+    val setup = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Seq(Correlation.Auto()))
+    val dup   = ds.points.orderBy("tid", "ts").limit(1).collect().head
+    val tid   = dup.getAs[Int]("tid")
+    val e = intercept[org.apache.spark.SparkException](
+      ModelarDB.ingest(spark, cfg, setup, ds.points.union(ds.points.filter(
+        col("tid") === tid && col("ts") === dup.getAs[Long]("ts")))))
+    assert(e.getMessage.contains(s"tid $tid at ts"), e.getMessage)
+    assert(SegmentSource.listFiles(cfg.storePath).isEmpty)
+    assert(!new java.io.File(cfg.storePath, "_staging").exists())
+  }
+
   test("ingest stats add up and the store is written") {
     val ds = TimeSeriesGen.epLike(spark, sf = 0.001, gapProb = 0.01)
     val b  = TestStore.build(spark, ds, Seq(Correlation.Auto()))

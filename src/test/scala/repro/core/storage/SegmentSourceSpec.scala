@@ -43,6 +43,30 @@ class SegmentSourceSpec extends SparkSpec {
            segments.map(_.endTime).sum)
   }
 
+  test("a failed DataSourceV2 write leaves no file in the store and no staging") {
+    val dir     = tmpDir()
+    val staging = new java.io.File(dir, "_staging")
+    val staged  = () => Option(staging.listFiles()).toSeq.flatten
+      .flatMap(d => Option(d.listFiles()).toSeq.flatten).length
+    val rows = spark.sparkContext.parallelize(segments, 4).mapPartitionsWithIndex { (p, it) =>
+      val rs = it.map(s => org.apache.spark.sql.Row(
+        s.gid, s.startTime, s.endTime, s.si, s.mid, s.params, s.gaps))
+      if (p < 3) rs
+      else rs.take(5) ++ Iterator.single(()).map { _ =>
+        // fail only once the other partitions' files are staged
+        val deadline = System.nanoTime() + 20000000000L
+        while (staged() < 3 && System.nanoTime() < deadline) Thread.sleep(10)
+        throw new IllegalStateException(s"injected failure after ${staged()} staged files")
+      }
+    }
+    val e = intercept[org.apache.spark.SparkException](
+      spark.createDataFrame(rows, SegmentSource.Schema)
+        .write.format(SegmentSource.FormatName).mode("append").save(dir))
+    assert(e.getMessage.contains("after 3 staged files"), e.getMessage)
+    assert(SegmentSource.listFiles(dir).isEmpty)
+    assert(!staging.exists())
+  }
+
   test("gid equality filter returns exactly that group") {
     val dir = tmpDir()
     SegmentSource.writeFile(dir, segments)

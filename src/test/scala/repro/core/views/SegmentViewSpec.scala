@@ -71,9 +71,4 @@ class SegmentViewSpec extends SparkSpec {
       .filter(_.dims("Measure")(0) == "power").map(_.tid).toSet
     assert(tids == expected)
   }
-
-  test("seg struct fields are in the UDAF-expected order") {
-    val segType = view.schema("seg").dataType.asInstanceOf[org.apache.spark.sql.types.StructType]
-    assert(segType.fieldNames.toSeq == SegmentView.SegFields)
-  }
 }

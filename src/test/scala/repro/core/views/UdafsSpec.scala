@@ -18,10 +18,10 @@ class UdafsSpec extends SparkSpec {
 
   private def registered(): Unit = ModelarDB.registerViews(spark, built.cfg, built.catalog)
 
-  test("segment view exposes the seg struct and dims") {
+  test("segment view exposes the model columns and dims") {
     registered()
     val cols = spark.table("segment_view").columns.toSeq
-    Seq("tid", "start_time", "end_time", "si", "mid", "params", "seg",
+    Seq("tid", "start_time", "end_time", "si", "mid", "params",
         "production_entity", "measure_concrete").foreach(c => assert(cols.contains(c), c))
   }
 
