@@ -97,23 +97,18 @@ object ModelarDB {
       .sortWithinPartitions("gid", "ts", "tid")
       .select(col("gid").cast("int"), col("ts").cast("long"),
               col("tid").cast("int"), col("value").cast("float"))
+      .as(Encoders.product[GroupPoint])
 
     val groupStats = spark.sparkContext.collectionAccumulator[Compressor.GroupStats]("groupStats")
     implicit val segmentEnc = Encoders.product[SegmentRecord]
     val segments = prepared.mapPartitions { rows =>
       val it = rows.buffered
       Iterator.continually(()).takeWhile(_ => it.hasNext).flatMap { _ =>
-        val gid     = it.head.getInt(0)
-        val members = catalog.membersOf(gid)
+        val gid      = it.head.gid
+        val members  = catalog.membersOf(gid)
         val scalings = members.map(t => catalog.byTid(t).scaling).toArray
-        val si      = catalog.byTid(members.head).si
-        val groupRows = new Iterator[(Long, Int, Float)] {
-          override def hasNext: Boolean = it.hasNext && it.head.getInt(0) == gid
-          override def next(): (Long, Int, Float) = {
-            val r = it.next(); (r.getLong(1), r.getInt(2), r.getFloat(3))
-          }
-        }
-        val ticks = Compressor.ticksFromSortedPoints(members, groupRows, gid)
+        val si       = catalog.byTid(members.head).si
+        val ticks    = Compressor.ticksFromSortedPoints(members.toArray, it, gid)
         val (segs, st) =
           Compressor.compressGroup(gid, members.length, si, scalings, ticks, golemm)
         groupStats.add(st)

@@ -10,8 +10,10 @@ package repro.core
   */
 object Types {
 
-  /** One data point of one time series: epoch-millis timestamp and value. */
-  final case class DataPoint(tid: Int, ts: Long, value: Float)
+  /** One data point of one time series, tagged with the series' group: the
+    * row GOLEMM's tick assembly reads during ingestion.
+    */
+  final case class GroupPoint(gid: Int, ts: Long, tid: Int, value: Float)
 
   /** Static metadata for one time series (the paper's Time Series table).
     *

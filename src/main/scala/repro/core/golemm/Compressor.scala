@@ -1,7 +1,7 @@
 package repro.core.golemm
 
 import scala.collection.mutable.ArrayBuffer
-import repro.core.Types.SegmentRecord
+import repro.core.Types.{GroupPoint, SegmentRecord}
 
 /** Drives GOLEMM over one group's aligned tick stream and collects the
   * statistics the evaluation reports (segment/model-type counts, dynamic
@@ -113,25 +113,37 @@ object Compressor {
       tids: IndexedSeq[Int],
       rows: Iterator[(Long, Int, Float)],
       gid: Int = -1,
-  ): Iterator[(Long, Array[Float])] = {
-    val pos = tids.zipWithIndex.toMap
+  ): Iterator[(Long, Array[Float])] =
+    ticksFromSortedPoints(tids.toArray,
+                          rows.map { case (ts, tid, v) => GroupPoint(gid, ts, tid, v) }.buffered, gid)
+
+  /** The tick assembler: consumes the points of group `gid` from the head of
+    * `points`, sorted by (ts, tid), and stops before the first point of
+    * another group. `tids` are the group's members, sorted; a member's
+    * position is found by binary search. Errors as above.
+    */
+  def ticksFromSortedPoints(
+      tids: Array[Int],
+      points: BufferedIterator[GroupPoint],
+      gid: Int,
+  ): Iterator[(Long, Array[Float])] =
     new Iterator[(Long, Array[Float])] {
-      private val it      = rows.buffered
-      override def hasNext: Boolean = it.hasNext
+      override def hasNext: Boolean = points.hasNext && points.head.gid == gid
       override def next(): (Long, Array[Float]) = {
-        val ts     = it.head._1
-        val values = Array.fill(tids.length)(Float.NaN)
+        val ts     = points.head.ts
+        val values = new Array[Float](tids.length)
+        java.util.Arrays.fill(values, Float.NaN)
         var prev   = -1
-        while (it.hasNext && it.head._1 == ts) {
-          val (_, tid, v) = it.next()
-          val p = pos.getOrElse(tid, sys.error(s"tid $tid is not a member of group $gid"))
-          if (p == prev)
-            throw new IllegalArgumentException(s"duplicate point in group $gid: tid $tid at ts $ts")
-          values(p) = v
-          prev = p
+        while (hasNext && points.head.ts == ts) {
+          val p   = points.next()
+          val pos = java.util.Arrays.binarySearch(tids, p.tid)
+          if (pos < 0) sys.error(s"tid ${p.tid} is not a member of group $gid")
+          if (pos == prev)
+            throw new IllegalArgumentException(s"duplicate point in group $gid: tid ${p.tid} at ts $ts")
+          values(pos) = p.value
+          prev = pos
         }
         (ts, values)
       }
     }
-  }
 }

@@ -1,6 +1,5 @@
 package repro.core.golemm
 
-import scala.collection.mutable.ArrayBuffer
 import repro.core.Types.SegmentRecord
 
 /** Gap management for a (sub-)group of series (paper Figure 5).
@@ -40,37 +39,55 @@ final class GroupCompressor(
   def activePositions: Array[Int] = activeIdx
 
   /** Consume the values of this compressor's members at tick `ts` (NaN = gap).
-    * Returns any segments emitted.
+    * Returns any segments emitted. When every member is present the
+    * generator buffers `values` itself, so the caller must not modify the
+    * array afterwards.
     */
   def consume(ts: Long, values: Array[Float]): Seq[SegmentRecord] = {
     require(values.length == memberIdx.length,
             s"expected ${memberIdx.length} values, got ${values.length}")
-    val present = ArrayBuffer.empty[Int]
+    // One pass: count the present series and check they are `activeIdx`.
+    var nPresent   = 0
+    var sameActive = generator != null
     var i = 0
     while (i < values.length) {
-      if (!values(i).isNaN) present += i
+      if (!values(i).isNaN) {
+        if (sameActive && (nPresent == activeIdx.length || activeIdx(nPresent) != i)) sameActive = false
+        nPresent += 1
+      }
       i += 1
     }
-    val out = ArrayBuffer.empty[SegmentRecord]
-    if (present.isEmpty) {
-      // Every series gapped: close the run; the next segment starts later.
-      out ++= close()
-    } else {
-      val presentArr = present.toArray
-      val sameActive = generator != null && java.util.Arrays.equals(presentArr, activeIdx)
-      val contiguous = generator != null && ts == lastTs + si
-      if (!sameActive || !contiguous) {
-        out ++= close()
-        activeIdx = presentArr
-        generator = new SegmentGenerator(gid, activeIdx.length, gapMask(activeIdx), si, cfg)
-      }
-      val compact = new Array[Float](activeIdx.length)
-      var j = 0
-      while (j < activeIdx.length) { compact(j) = values(activeIdx(j)); j += 1 }
-      out ++= generator.append(ts, compact)
-      lastTs = ts
+    // Every series gapped: close the run; the next segment starts later.
+    if (nPresent == 0) return close()
+
+    var closed: Seq[SegmentRecord] = Nil
+    if (!sameActive || nPresent != activeIdx.length || ts != lastTs + si) {
+      // The present set changed or the ticks are not contiguous: new run.
+      closed = close()
+      activeIdx = presentPositions(values, nPresent)
+      generator = new SegmentGenerator(gid, nPresent, gapMask(activeIdx), si, cfg)
     }
-    out.toSeq
+    val compact =
+      if (nPresent == values.length) values
+      else {
+        val c = new Array[Float](nPresent)
+        var j = 0
+        while (j < nPresent) { c(j) = values(activeIdx(j)); j += 1 }
+        c
+      }
+    val emitted = generator.append(ts, compact)
+    lastTs = ts
+    if (closed.isEmpty) emitted else if (emitted.isEmpty) closed else closed ++ emitted
+  }
+
+  private def presentPositions(values: Array[Float], nPresent: Int): Array[Int] = {
+    val out = new Array[Int](nPresent)
+    var i = 0; var j = 0
+    while (i < values.length) {
+      if (!values(i).isNaN) { out(j) = i; j += 1 }
+      i += 1
+    }
+    out
   }
 
   /** Flush and close the current run (end of stream or group restructuring). */

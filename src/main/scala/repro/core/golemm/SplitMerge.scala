@@ -53,40 +53,58 @@ final class SplitManager(
   /** Current number of sub-groups (1 = no active split). */
   def subGroupCount: Int = subs.length
 
+  // Every member's bit; the JVM takes shift distances mod 64, so 64 members
+  // need the all-ones mask spelled out.
+  private val allMembers = if (nMembers == 64) -1L else (1L << nMembers) - 1
+
   private def ratioOf(seg: SegmentRecord): Double = {
-    val present = java.lang.Long.bitCount(~seg.gaps & ((1L << nMembers) - 1))
+    val present = java.lang.Long.bitCount(~seg.gaps & allMembers)
     val points  = seg.length.toLong * math.max(present, 1)
     points.toDouble / (seg.params.length + SegmentGenerator.MetadataBytes)
   }
 
-  /** Consume the full group's values at tick `ts` (NaN = gap). */
+  /** Consume the full group's values at tick `ts` (NaN = gap). A sub-group
+    * holding every member receives `values` itself, which the caller must
+    * not modify afterwards.
+    */
   def consume(ts: Long, values: Array[Float]): Seq[SegmentRecord] = {
     require(values.length == nMembers, s"expected $nMembers values, got ${values.length}")
-    val out     = ArrayBuffer.empty[SegmentRecord]
-    val toSplit = ArrayBuffer.empty[Sub]
-    subs.foreach { sub =>
-      val vals = sub.memberIdx.map(values)
+    var out: ArrayBuffer[SegmentRecord] = null
+    var toSplit: ArrayBuffer[Sub]       = null
+    var k = 0
+    while (k < subs.length) {
+      val sub  = subs(k)
+      // Member lists are sorted, so a full one is the identity.
+      val vals = if (sub.memberIdx.length == nMembers) values else sub.memberIdx.map(values)
       val segs = sub.comp.consume(ts, vals)
       if (segs.nonEmpty) {
+        if (out == null) out = ArrayBuffer.empty
         out ++= segs
         stats.segmentsEmitted += segs.length
         segmentsSinceAttempt += segs.length
         segs.foreach { s => ratioSum += ratioOf(s); ratioCount += 1 }
-        if (cfg.dynamicSplitting && sub.memberIdx.length > 1 && shouldSplit(sub, segs))
+        if (cfg.dynamicSplitting && sub.memberIdx.length > 1 && shouldSplit(sub, segs)) {
+          if (toSplit == null) toSplit = ArrayBuffer.empty
           toSplit += sub
+        }
       }
+      k += 1
     }
-    if (toSplit.nonEmpty) {
+    if (toSplit != null) {
       val t0 = System.nanoTime()
       toSplit.foreach(sub => out ++= split(sub))
       stats.splitMergeNanos += System.nanoTime() - t0
     }
     if (cfg.dynamicSplitting && subs.length > 1 && segmentsSinceAttempt >= requiredSegments) {
       val t0 = System.nanoTime()
-      out ++= tryMerge()
+      val merged = tryMerge()
+      if (merged.nonEmpty) {
+        if (out == null) out = ArrayBuffer.empty
+        out ++= merged
+      }
       stats.splitMergeNanos += System.nanoTime() - t0
     }
-    out.toSeq
+    if (out == null) Nil else out.toSeq
   }
 
   /** Flush every sub-group (end of stream). */

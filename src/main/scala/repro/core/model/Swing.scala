@@ -26,6 +26,9 @@ object Swing extends ModelType {
   @inline def valueAt(slope: Float, intercept: Float, tick: Int): Float =
     (intercept.toDouble + slope.toDouble * tick).toFloat
 
+  // 2^-21: the fitter's fast-path margin per unit of value magnitude.
+  private val MarginScale = math.scalb(1.0, -21)
+
   override def newFitter(nSeries: Int, epsilonPct: Double, lengthBound: Int): ModelFitter =
     new Fitter(nSeries, epsilonPct)
 
@@ -34,14 +37,20 @@ object Swing extends ModelType {
     private var intercept = 0.0f
     private var loSlope   = Double.NegativeInfinity
     private var hiSlope   = Double.PositiveInfinity
-    // Stored float candidate revalidated only when it changes (O(1) amortized).
+    // Stored float candidate; the accepted ticks are revalidated against a
+    // new candidate only when the fast path below cannot vouch for them.
     private var slopeF    = 0.0f
-    // Accepted per-tick feasible value intervals, for full revalidation.
-    private val lowers = scala.collection.mutable.ArrayBuffer.empty[Double]
-    private val uppers = scala.collection.mutable.ArrayBuffer.empty[Double]
+    // Accepted per-tick feasible value intervals, for full revalidation, and
+    // the largest |lower| or |upper| among them.
+    private var lowers = new Array[Double](16)
+    private var uppers = new Array[Double](16)
+    private var vMax   = 0.0
+    // The new tick's feasible value interval, set by `tickBounds`.
+    private var lo = 0.0
+    private var hi = 0.0
 
-    private def tickBounds(values: Array[Float]): (Double, Double) = {
-      var lo = Double.NegativeInfinity; var hi = Double.PositiveInfinity
+    private def tickBounds(values: Array[Float]): Unit = {
+      lo = Double.NegativeInfinity; hi = Double.PositiveInfinity
       var i = 0
       while (i < values.length) {
         val v   = values(i).toDouble
@@ -50,19 +59,56 @@ object Swing extends ModelType {
         if (v + tol < hi) hi = v + tol
         i += 1
       }
-      (lo, hi)
+    }
+
+    private def accept(): Unit = {
+      if (ticks == lowers.length) {
+        lowers = java.util.Arrays.copyOf(lowers, ticks * 2)
+        uppers = java.util.Arrays.copyOf(uppers, ticks * 2)
+      }
+      lowers(ticks) = lo; uppers(ticks) = hi
+      vMax = math.max(vMax, math.max(math.abs(lo), math.abs(hi)))
+      ticks += 1
+    }
+
+    // A negated rejection: a NaN reconstruction is not rejected.
+    private def fits(slope: Float, tick: Int, lower: Double, upper: Double): Boolean = {
+      val v = valueAt(slope, intercept, tick).toDouble
+      !(v < lower || v > upper)
+    }
+
+    // Whether the accepted ticks need no revalidation against `cand`, a
+    // float slope inside the new feasible interval [nLo, nHi].
+    //
+    // Every accepted tick j >= 1 satisfied `(lowers(j) - intercept) / j <= nLo`
+    // and `(uppers(j) - intercept) / j >= nHi`, so if `cand` clears both ends
+    // of the interval by more than `margin`, the exact line
+    // `intercept + cand·j` clears tick j's bounds by j·margin >= margin. The
+    // reconstruction `valueAt` differs from the exact line by the double
+    // product and sum (under 2^-50·vMax) plus one rounding to float: half an
+    // ulp, at most 2^-24·vMax, or 2^-150 among subnormals. The exact line at
+    // tick j lies within [-vMax, vMax], so with vMax <= Float.MaxValue the
+    // rounding cannot overflow. `margin = 2^-21·vMax + 2^-149` exceeds the
+    // sum, so every accepted tick still fits. Tick 0 reconstructs as the
+    // intercept whatever the slope. NaN or infinite bounds make a comparison
+    // false and fall to the slow path, as does ε = 0, where the interval has
+    // no width.
+    private def acceptedStillFit(cand: Float, nLo: Double, nHi: Double): Boolean = {
+      val margin = vMax * MarginScale + Float.MinPositiveValue
+      vMax <= Float.MaxValue && cand - nLo > margin && nHi - cand > margin
     }
 
     override def append(values: Array[Float]): Boolean = {
       require(values.length == nSeries, s"expected $nSeries values, got ${values.length}")
-      val (lo, hi) = tickBounds(values)
+      tickBounds(values)
       if (lo > hi) return false
       if (ticks == 0) {
         var sum = 0.0; var i = 0
         while (i < values.length) { sum += values(i); i += 1 }
         val b = math.min(hi, math.max(lo, sum / values.length)).toFloat
         if (b.toDouble < lo || b.toDouble > hi) return false
-        intercept = b; lowers += lo; uppers += hi; ticks = 1
+        intercept = b
+        accept()
         true
       } else {
         val k    = ticks.toDouble
@@ -73,23 +119,18 @@ object Swing extends ModelType {
                    else if (nLo.isInfinite) nHi else if (nHi.isInfinite) nLo
                    else (nLo + nHi) / 2
         val cand = mid.toFloat
-        if (cand == slopeF) {
-          // Unchanged stored model: only the new tick needs validation.
-          val v = valueAt(cand, intercept, ticks).toDouble
-          if (v < lo || v > hi) return false
-        } else {
-          // Stored slope moved: revalidate every accepted tick plus the new one.
+        if (cand != slopeF && !acceptedStillFit(cand, nLo, nHi)) {
+          // Slow path: revalidate every accepted tick against the new slope.
           var j = 0
           while (j < ticks) {
-            val v = valueAt(cand, intercept, j).toDouble
-            if (v < lowers(j) || v > uppers(j)) return false
+            if (!fits(cand, j, lowers(j), uppers(j))) return false
             j += 1
           }
-          val v = valueAt(cand, intercept, ticks).toDouble
-          if (v < lo || v > hi) return false
         }
+        // The new tick is always validated.
+        if (!fits(cand, ticks, lo, hi)) return false
         loSlope = nLo; hiSlope = nHi; slopeF = cand
-        lowers += lo; uppers += hi; ticks += 1
+        accept()
         true
       }
     }

@@ -130,4 +130,26 @@ class SplitMergeSpec extends AnyFunSuite {
     assert(rec.keySet.count(_._1 == 1) == 400)
     assert(rec.keySet.count(_._1 == 2) == 100) // only the pre-gap points
   }
+
+  test("the split trigger counts every present member of a 64-member group") {
+    // Phase 1: all members present and constant, one long segment. Phase 2:
+    // only member 0 present, in 50-tick steps: short segments of one series,
+    // whose points per byte fall far below phase 1's, so the gapped members
+    // split off. A 64-member group must do what a 63-member one does.
+    def run(n: Int): (Int, Int) = {
+      val m = new SplitManager(1, n, 100, cfg())
+      val segs = (0 until 200).flatMap(i => m.consume(i * 100L, Array.fill(n)(100f))) ++
+        (200 until 600).flatMap { i =>
+          val v = Array.fill(n)(Float.NaN)
+          v(0) = 100f * (1 + (i - 200) / 50)
+          m.consume(i * 100L, v)
+        } ++ m.close()
+      val rec = reconstruct(segs, n)
+      assert(rec.keySet.count(_._1 == 0) == 600 && rec.size == 200 * n + 400)
+      (m.stats.splits, m.subGroupCount)
+    }
+    val at63 = run(63)
+    assert(at63._1 >= 1)
+    assert(run(64) == at63)
+  }
 }
