@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.collection.mutable.ArrayBuffer
 import scala.jdk.CollectionConverters._
 
 import repro.core.Types._
@@ -74,41 +75,43 @@ object ModelarDB {
     *
     * Each group's points land in one task (the paper assigns a group to one
     * worker to avoid shuffling at query time), and planned partition p runs
-    * as task p, so each partition gets its own core and file. Within a task
-    * the rows are sorted, aligned into ticks and compressed with GOLEMM, and
-    * the segments go directly to storage (Table I's bulk-loading path)
-    * through the store's DataSourceV2 write: one file per task, visible only
-    * once the whole ingest commits. Duplicate `(tid, ts)` points fail it.
+    * as task p, so each partition gets its own core and file. The shuffle
+    * moves columnar chunks, not points: each map task appends its points to
+    * per-group buffers and emits one `GroupChunk` per group (more for a group
+    * with over `Compressor.ChunkPoints` points), and the partitions are
+    * sorted by gid only. A task then gathers each group's chunks, aligns
+    * them into ticks and compresses them with GOLEMM, and the segments go
+    * directly to storage (Table I's bulk-loading path) through the store's
+    * DataSourceV2 write: one file per task, visible only once the whole
+    * ingest commits. Points of a tid that is not in the catalog, duplicate
+    * `(tid, ts)` points and a group spanning 2^57 ms or more fail it.
     */
   def ingest(spark: SparkSession, cfg: Config, setup: Setup, points: DataFrame): IngestStats = {
-    val t0        = System.nanoTime()
-    val catalog   = setup.catalog
-    val gidOf     = catalog.gidOf
-    val partOf    = setup.partitionOf
-    val golemm    = cfg.golemm
+    val t0      = System.nanoTime()
+    val catalog = setup.catalog
+    val golemm  = cfg.golemm
+    val chunker = new Compressor.Chunker(catalog.groups, setup.partitionOf)
 
-    val gidUdf = udf { (tid: Int) => gidOf(tid) }
-    val pidUdf = udf { (gid: Int) => partOf(gid) }
-
-    val prepared = points
-      .withColumn("gid", gidUdf(col("tid")))
-      .withColumn("pid", pidUdf(col("gid")))
+    implicit val chunkEnc = Encoders.product[GroupChunk]
+    val chunks = points
+      .select(col("tid").cast("int"), col("ts").cast("long"), col("value").cast("float"))
+      .as(Encoders.tuple(Encoders.scalaInt, Encoders.scalaLong, Encoders.scalaFloat))
+      .mapPartitions(chunker.chunks)
       .repartitionById(setup.numPartitions, col("pid"))
-      .sortWithinPartitions("gid", "ts", "tid")
-      .select(col("gid").cast("int"), col("ts").cast("long"),
-              col("tid").cast("int"), col("value").cast("float"))
-      .as(Encoders.product[GroupPoint])
+      .sortWithinPartitions("gid")
 
     val groupStats = spark.sparkContext.collectionAccumulator[Compressor.GroupStats]("groupStats")
     implicit val segmentEnc = Encoders.product[SegmentRecord]
-    val segments = prepared.mapPartitions { rows =>
+    val segments = chunks.mapPartitions { rows =>
       val it = rows.buffered
       Iterator.continually(()).takeWhile(_ => it.hasNext).flatMap { _ =>
         val gid      = it.head.gid
+        val group    = ArrayBuffer.empty[GroupChunk]
+        while (it.hasNext && it.head.gid == gid) group += it.next()
         val members  = catalog.membersOf(gid)
         val scalings = members.map(t => catalog.byTid(t).scaling).toArray
         val si       = catalog.byTid(members.head).si
-        val ticks    = Compressor.ticksFromSortedPoints(members.toArray, it, gid)
+        val ticks    = Compressor.ticksFromChunks(members.toArray, group.toSeq, gid)
         val (segs, st) =
           Compressor.compressGroup(gid, members.length, si, scalings, ticks, golemm)
         groupStats.add(st)

@@ -10,10 +10,13 @@ package repro.core
   */
 object Types {
 
-  /** One data point of one time series, tagged with the series' group: the
-    * row GOLEMM's tick assembly reads during ingestion.
+  /** Points of one group from one ingest map task, in columns and in no
+    * particular order: point i is `values(i)` at `ts(i)` for the member at
+    * position `pos(i)` among the group's sorted tids. `pid` is the group's
+    * planned partition. This is the row that ingestion shuffles.
     */
-  final case class GroupPoint(gid: Int, ts: Long, tid: Int, value: Float)
+  final case class GroupChunk(pid: Int, gid: Int, ts: Array[Long], pos: Array[Byte],
+                              values: Array[Float])
 
   /** Static metadata for one time series (the paper's Time Series table).
     *

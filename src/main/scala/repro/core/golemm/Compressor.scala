@@ -1,7 +1,7 @@
 package repro.core.golemm
 
 import scala.collection.mutable.ArrayBuffer
-import repro.core.Types.{GroupPoint, SegmentRecord}
+import repro.core.Types.{Group, GroupChunk, SegmentRecord}
 
 /** Drives GOLEMM over one group's aligned tick stream and collects the
   * statistics the evaluation reports (segment/model-type counts, dynamic
@@ -103,47 +103,197 @@ object Compressor {
     (out.toSeq, stats)
   }
 
-  /** Build the aligned tick stream for a group from per-point rows sorted by
-    * (ts, tid). `tids` must be the group's members in sorted order; rows with
-    * tids outside the group, and a second point for the same `(tid, ts)`, are
-    * rejected. Ticks missing a member get NaN. `gid` only names the group in
-    * those errors.
+  /** Points per [[GroupChunk]] at most, so an ingest map task's buffers stay
+    * bounded however many points of one group it reads.
+    */
+  private[core] val ChunkPoints = 1 << 14
+
+  /** The map side of ingest's shuffle, built once on the driver: each point
+    * `(tid, ts, value)` is appended to its group's column buffers, found by
+    * binary search in the sorted tids of `groups`. A group's buffers become a
+    * [[GroupChunk]] when they hold [[ChunkPoints]] points, and at the end of
+    * the input. `partitionOf` maps a gid to its planned partition.
+    */
+  final class Chunker(groups: IndexedSeq[Group], partitionOf: Int => Int) extends Serializable {
+    private val tids: Array[Int] = groups.flatMap(_.tids).toArray.sorted
+    /** For `tids(i)`: its group's index in `groups` << 6 | its member position. */
+    private val codes: Array[Int] = {
+      val code = (for ((g, slot) <- groups.iterator.zipWithIndex; (t, p) <- g.tids.iterator.zipWithIndex)
+        yield t -> (slot << 6 | p)).toMap
+      tids.map(code)
+    }
+    private val gids: Array[Int] = groups.map(_.gid).toArray
+    private val pids: Array[Int] = groups.map(g => partitionOf(g.gid)).toArray
+
+    /** One input partition's chunks. A tid that is in no group is rejected. */
+    def chunks(points: Iterator[(Int, Long, Float)]): Iterator[GroupChunk] = {
+      val bufs = new Array[ChunkBuffer](gids.length)
+      def emit(slot: Int) = bufs(slot).take(pids(slot), gids(slot))
+      val full = points.flatMap { case (tid, ts, value) =>
+        val i = java.util.Arrays.binarySearch(tids, tid)
+        if (i < 0) throw new IllegalArgumentException(s"tid $tid is not a series of this store")
+        val slot = codes(i) >>> 6
+        if (bufs(slot) == null) bufs(slot) = new ChunkBuffer
+        if (bufs(slot).add(ts, (codes(i) & 63).toByte, value) == ChunkPoints) Some(emit(slot)) else None
+      }
+      full ++ bufs.indices.iterator.filter(s => bufs(s) != null && bufs(s).n > 0).map(emit)
+    }
+  }
+
+  /** One group's growable columns in a [[Chunker]]. */
+  private final class ChunkBuffer {
+    private var ts     = new Array[Long](64)
+    private var pos    = new Array[Byte](64)
+    private var values = new Array[Float](64)
+    var n              = 0
+
+    /** Appends a point and returns the new point count. */
+    def add(t: Long, p: Byte, v: Float): Int = {
+      if (n == ts.length) {
+        val cap = math.min(2 * n, ChunkPoints)
+        ts = java.util.Arrays.copyOf(ts, cap)
+        pos = java.util.Arrays.copyOf(pos, cap)
+        values = java.util.Arrays.copyOf(values, cap)
+      }
+      ts(n) = t; pos(n) = p; values(n) = v
+      n += 1
+      n
+    }
+
+    /** The points so far as a chunk; the buffer is then empty. */
+    def take(pid: Int, gid: Int): GroupChunk = {
+      val c = GroupChunk(pid, gid, java.util.Arrays.copyOf(ts, n), java.util.Arrays.copyOf(pos, n),
+                         java.util.Arrays.copyOf(values, n))
+      n = 0
+      c
+    }
+  }
+
+  /** Build the aligned tick stream for a group from per-point rows
+    * `(ts, tid, value)` in any order: a wrapper over [[ticksFromChunks]].
+    * `tids` must be the group's members in sorted order; rows with tids
+    * outside the group are rejected. `gid` only names the group in errors.
     */
   def ticksFromSortedPoints(
       tids: IndexedSeq[Int],
       rows: Iterator[(Long, Int, Float)],
       gid: Int = -1,
-  ): Iterator[(Long, Array[Float])] =
-    ticksFromSortedPoints(tids.toArray,
-                          rows.map { case (ts, tid, v) => GroupPoint(gid, ts, tid, v) }.buffered, gid)
+  ): Iterator[(Long, Array[Float])] = {
+    val members = tids.toArray
+    val ts      = Array.newBuilder[Long]
+    val pos     = Array.newBuilder[Byte]
+    val values  = Array.newBuilder[Float]
+    rows.foreach { case (t, tid, v) =>
+      val p = java.util.Arrays.binarySearch(members, tid)
+      if (p < 0) sys.error(s"tid $tid is not a member of group $gid")
+      ts += t; pos += p.toByte; values += v
+    }
+    ticksFromChunks(members, Seq(GroupChunk(-1, gid, ts.result(), pos.result(), values.result())), gid)
+  }
 
-  /** The tick assembler: consumes the points of group `gid` from the head of
-    * `points`, sorted by (ts, tid), and stops before the first point of
-    * another group. `tids` are the group's members, sorted; a member's
-    * position is found by binary search. Errors as above.
+  /** The tick assembler: aligns the points of group `gid`, given as chunks
+    * in any order, into ticks of ascending timestamp with NaN for a missing
+    * member. `tids` are the group's members, sorted; a chunk's `pos` indexes
+    * them. Each point becomes the key `((ts - tsMin) << 6) | pos`, and one
+    * stable natural merge sort orders keys and values together; it is near
+    * linear because each member's points mostly arrive as a run in ts order.
+    * A second point for the same `(tid, ts)` is rejected, and so is a group
+    * whose points span 2^57 ms or more, which the key cannot hold.
     */
-  def ticksFromSortedPoints(
-      tids: Array[Int],
-      points: BufferedIterator[GroupPoint],
-      gid: Int,
-  ): Iterator[(Long, Array[Float])] =
-    new Iterator[(Long, Array[Float])] {
-      override def hasNext: Boolean = points.hasNext && points.head.gid == gid
-      override def next(): (Long, Array[Float]) = {
-        val ts     = points.head.ts
-        val values = new Array[Float](tids.length)
-        java.util.Arrays.fill(values, Float.NaN)
-        var prev   = -1
-        while (hasNext && points.head.ts == ts) {
-          val p   = points.next()
-          val pos = java.util.Arrays.binarySearch(tids, p.tid)
-          if (pos < 0) sys.error(s"tid ${p.tid} is not a member of group $gid")
-          if (pos == prev)
-            throw new IllegalArgumentException(s"duplicate point in group $gid: tid ${p.tid} at ts $ts")
-          values(pos) = p.value
-          prev = pos
-        }
-        (ts, values)
+  def ticksFromChunks(tids: Array[Int], chunks: Seq[GroupChunk], gid: Int): Iterator[(Long, Array[Float])] = {
+    val n = chunks.iterator.map(_.ts.length).sum
+    var tsMin = Long.MaxValue
+    var tsMax = Long.MinValue
+    chunks.foreach { c =>
+      var i = 0
+      while (i < c.ts.length) { tsMin = math.min(tsMin, c.ts(i)); tsMax = math.max(tsMax, c.ts(i)); i += 1 }
+    }
+    val span = tsMax - tsMin // negative if it overflows
+    if (n > 0 && (span < 0 || span >= (1L << 57)))
+      throw new IllegalArgumentException(
+        s"group $gid spans ${BigInt(tsMax) - tsMin} ms, from ts $tsMin to $tsMax; " +
+          "a group's points in one ingest must span less than 2^57 ms")
+    val keys = new Array[Long](n)
+    val vals = new Array[Float](n)
+    var k = 0
+    chunks.foreach { c =>
+      var i = 0
+      while (i < c.ts.length) {
+        keys(k) = ((c.ts(i) - tsMin) << 6) | c.pos(i)
+        vals(k) = c.values(i)
+        i += 1
+        k += 1
       }
     }
+    val (sorted, sortedVals) = sortByKey(keys, vals)
+
+    new Iterator[(Long, Array[Float])] {
+      private var i = 0
+      override def hasNext: Boolean = i < n
+      override def next(): (Long, Array[Float]) = {
+        val tick   = sorted(i) >>> 6
+        val values = new Array[Float](tids.length)
+        java.util.Arrays.fill(values, Float.NaN)
+        while (i < n && (sorted(i) >>> 6) == tick) {
+          val pos = (sorted(i) & 63).toInt
+          if (i > 0 && sorted(i) == sorted(i - 1))
+            throw new IllegalArgumentException(
+              s"duplicate point in group $gid: tid ${tids(pos)} at ts ${tsMin + tick}")
+          values(pos) = sortedVals(i)
+          i += 1
+        }
+        (tsMin + tick, values)
+      }
+    }
+  }
+
+  /** Sorts `keys` ascending and moves `vals` with them: a stable natural
+    * merge sort, whose passes merge neighbouring ascending runs, so r runs
+    * cost log2(r) passes. Returns the arrays that hold the result: the inputs
+    * or scratch arrays of the same length.
+    */
+  private def sortByKey(keys: Array[Long], vals: Array[Float]): (Array[Long], Array[Float]) = {
+    val n = keys.length
+    var bounds = { // run starts, then n
+      val b = Array.newBuilder[Int]
+      b += 0
+      var i = 1
+      while (i < n) { if (keys(i) < keys(i - 1)) b += i; i += 1 }
+      b += n
+      b.result()
+    }
+    var (src, srcVals) = (keys, vals)
+    var (dst, dstVals) = (null: Array[Long], null: Array[Float])
+    while (bounds.length > 2) {
+      if (dst == null) { dst = new Array[Long](n); dstVals = new Array[Float](n) }
+      val next = Array.newBuilder[Int]
+      var r = 0
+      while (r < bounds.length - 1) {
+        val lo  = bounds(r)
+        val mid = bounds(r + 1)
+        val hi  = if (r + 2 < bounds.length) bounds(r + 2) else mid
+        var i = lo
+        var j = mid
+        var k = lo
+        while (i < mid && j < hi) {
+          if (src(j) < src(i)) { dst(k) = src(j); dstVals(k) = srcVals(j); j += 1 }
+          else { dst(k) = src(i); dstVals(k) = srcVals(i); i += 1 }
+          k += 1
+        }
+        System.arraycopy(src, i, dst, k, mid - i)
+        System.arraycopy(srcVals, i, dstVals, k, mid - i)
+        k += mid - i
+        System.arraycopy(src, j, dst, k, hi - j)
+        System.arraycopy(srcVals, j, dstVals, k, hi - j)
+        next += lo
+        r += 2
+      }
+      next += n
+      bounds = next.result()
+      val (s, sv) = (src, srcVals)
+      src = dst; srcVals = dstVals
+      dst = s; dstVals = sv
+    }
+    (src, srcVals)
+  }
 }

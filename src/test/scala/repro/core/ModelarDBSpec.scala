@@ -2,8 +2,10 @@ package repro.core
 
 import java.nio.file.Files
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestStore}
+import repro.core.Types.SegmentRecord
 import repro.core.golemm.GolemmConfig
 import repro.core.grouping.{Correlation, ScalingRule}
 import repro.core.model.ModelType
@@ -72,6 +74,44 @@ class ModelarDBSpec extends SparkSpec {
     assert(e.getMessage.contains(s"tid $tid at ts"), e.getMessage)
     assert(SegmentSource.listFiles(cfg.storePath).isEmpty)
     assert(!new java.io.File(cfg.storePath, "_staging").exists())
+  }
+
+  test("ingest rejects a point of a tid that is not in the catalog and leaves the store empty") {
+    val ds      = TimeSeriesGen.epLike(spark, sf = 0.001, gapProb = 0.0, seed = 98)
+    val cfg     = ModelarDB.Config(storePath = TestStore.tmpDir("unknown"), numPartitions = 4)
+    val setup   = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Seq(Correlation.Auto()))
+    val unknown = ds.series.map(_.tid).max + 1
+    val e = intercept[org.apache.spark.SparkException](
+      ModelarDB.ingest(spark, cfg, setup, ds.points.union(ds.points.limit(1).withColumn("tid", lit(unknown)))))
+    assert(e.getMessage.contains(s"tid $unknown is not a series of this store"), e.getMessage)
+    assert(SegmentSource.listFiles(cfg.storePath).isEmpty)
+    assert(!new java.io.File(cfg.storePath, "_staging").exists())
+  }
+
+  test("ingest stores the same segments whatever the input order and partitioning") {
+    val ds    = TimeSeriesGen.epLike(spark, sf = 0.002, gapProb = 0.01, seed = 99)
+    val setup = ModelarDB.setup(spark, ModelarDB.Config(storePath = TestStore.tmpDir("s")),
+                                ds.series, ds.dims, Seq(Correlation.Auto()))
+    def store(points: DataFrame): Seq[SegmentRecord] = {
+      val cfg = ModelarDB.Config(storePath = TestStore.tmpDir("order"),
+                                 golemm = GolemmConfig(epsilonPct = 10.0))
+      ModelarDB.ingest(spark, cfg, setup, points)
+      IngestPinSpec.segments(cfg.storePath)
+    }
+    val generated = store(ds.points)
+    assert(generated.nonEmpty)
+    // Shuffled: no member's points arrive as one run in ts order.
+    assert(store(ds.points.orderBy(rand(7))) == generated)
+    // Hashed on ts: every group's points come from all 8 input partitions.
+    assert(store(ds.points.repartition(8, col("ts"))) == generated)
+    // The two copies of a duplicate point come from different map tasks, so
+    // they arrive in different chunks.
+    val dup = ds.points.orderBy("tid", "ts").limit(1).collect().head
+    val (tid, ts) = (dup.getAs[Int]("tid"), dup.getAs[Long]("ts"))
+    val e = intercept[org.apache.spark.SparkException](store(ds.points.repartition(8, col("ts")).union(
+      ds.points.filter(col("tid") === tid && col("ts") === ts))))
+    assert(e.getMessage.contains(s"duplicate point in group ${setup.catalog.gidOf(tid)}: tid $tid at ts $ts"),
+           e.getMessage)
   }
 
   test("ingest stats add up and the store is written") {

@@ -1,7 +1,7 @@
 package repro.core.golemm
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Types.SegmentRecord
+import repro.core.Types.{Group, GroupChunk, SegmentRecord}
 import repro.core.model.ModelType
 
 class CompressorSpec extends AnyFunSuite {
@@ -25,6 +25,50 @@ class CompressorSpec extends AnyFunSuite {
     val rows = Iterator((0L, 99, 1.0f))
     intercept[RuntimeException] {
       Compressor.ticksFromSortedPoints(IndexedSeq(1, 2), rows).toSeq
+    }
+  }
+
+  test("ticksFromChunks aligns chunks in any order, one split at the size cap, with gaps") {
+    val tids = Array(10, 20, 30)
+    val n    = Compressor.ChunkPoints + 500
+    val gap  = 1000 until 1200
+    def value(m: Int, t: Int): Float =
+      if (m == 2 && gap.contains(t)) Float.NaN else (m * 1000 + t % 97).toFloat
+    def points(m: Int, ticks: Seq[Int]) =
+      ticks.filterNot(t => value(m, t).isNaN).map(t => (tids(m), t * 100L, value(m, t)))
+    val chunker = new Compressor.Chunker(IndexedSeq(Group(7, tids.toIndexedSeq)), _ => 3)
+    // Two map tasks: one holds all of tid 10 and tid 20's even ticks, the
+    // other tid 30 (with a gap) and tid 20's odd ticks, newest first.
+    val taskA = points(0, 0 until n) ++ points(1, 0 until n by 2)
+    val taskB = points(2, 0 until n) ++ points(1, (1 until n by 2).reverse)
+    val a     = chunker.chunks(taskA.iterator).toVector
+    val b     = chunker.chunks(taskB.iterator).toVector
+    assert(a.map(_.ts.length) == Vector(Compressor.ChunkPoints, taskA.length - Compressor.ChunkPoints))
+    assert((a ++ b).forall(c => c.gid == 7 && c.pid == 3))
+    val ticks = Compressor.ticksFromChunks(tids, b.reverse ++ a.reverse, 7).toVector
+    assert(ticks.map(_._1) == (0 until n).map(_ * 100L))
+    def bits(vs: Seq[Float]) = vs.map(java.lang.Float.floatToRawIntBits)
+    assert(ticks.map(t => bits(t._2.toSeq)) == (0 until n).map(t => bits(tids.indices.map(value(_, t)))))
+  }
+
+  test("ticksFromChunks rejects a point that two chunks both hold") {
+    val e = intercept[IllegalArgumentException] {
+      Compressor.ticksFromChunks(Array(5, 6), Seq(
+        GroupChunk(0, 1, Array(0L, 100L), Array[Byte](0, 1), Array(1f, 2f)),
+        GroupChunk(0, 1, Array(100L), Array[Byte](1), Array(3f))), 1).toVector
+    }
+    assert(e.getMessage == "duplicate point in group 1: tid 6 at ts 100")
+  }
+
+  test("ticksFromChunks accepts a span below 2^57 ms and rejects one of 2^57 ms or more") {
+    def chunk(ts: Long*) = GroupChunk(0, 1, ts.toArray, Array.fill(ts.length)(0.toByte),
+                                      Array.fill(ts.length)(1f))
+    val ok = Compressor.ticksFromChunks(Array(5), Seq(chunk(-100L, (1L << 57) - 101)), 1).toVector
+    assert(ok.map(_._1) == Vector(-100L, (1L << 57) - 101))
+    Seq(Seq(0L, 1L << 57), Seq(Long.MinValue, Long.MaxValue)).foreach { ts =>
+      val e = intercept[IllegalArgumentException](
+        Compressor.ticksFromChunks(Array(5), Seq(chunk(ts: _*)), 1))
+      assert(e.getMessage.contains("2^57"), e.getMessage)
     }
   }
 
