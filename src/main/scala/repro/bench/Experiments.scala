@@ -7,7 +7,7 @@ import repro.baselines.ValueGrouping
 import repro.core.ModelarDB
 import repro.core.golemm.GolemmConfig
 import repro.core.grouping.Correlation
-import repro.core.views.{SegmentView, TimeCube, Udafs}
+import repro.core.views.{TimeCube, Udafs}
 import repro.data.TimeSeriesGen
 
 /** The experiment runners reproducing the paper's evaluation (Section VII).

@@ -1,5 +1,8 @@
 package repro.core
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputFilter, ObjectInputStream, ObjectOutputStream}
+import java.util.Base64
+
 import repro.core.Types.{Group, TimeSeriesMeta}
 import repro.core.grouping.DimensionSpec
 
@@ -42,8 +45,10 @@ final case class Catalog(
   /** Members of a group in sorted-tid order — the order of the Gaps bitmask. */
   def membersOf(gid: Int): IndexedSeq[Int] = byGid(gid).tids
 
-  /** Gids to scan for a set of queried Tids (the Tid→Gid rewrite). */
-  def gidsForTids(tids: Seq[Int]): Set[Int] = tids.map(gidOf).toSet
+  /** Gids to scan for a set of queried Tids (the Tid→Gid rewrite); a Tid
+    * that is not a series of this store selects no group.
+    */
+  def gidsForTids(tids: Seq[Int]): Set[Int] = tids.flatMap(gidOf.get).toSet
 
   /** Gids of every group containing at least one series with `member` at
     * 1-based `level` of `dimension` — the paper's WHERE-clause member
@@ -74,5 +79,35 @@ final case class Catalog(
     dimColumns.map { case (_, dim, lvl) =>
       meta.dims.get(dim).flatMap(_.lift(lvl)).orNull
     }
+  }
+
+  /** This catalog Java-serialised and Base64-encoded, computed once: how it
+    * reaches the segment store's scan as a table option.
+    */
+  @transient lazy val encoded: String = {
+    val bytes = new ByteArrayOutputStream()
+    val out   = new ObjectOutputStream(bytes)
+    out.writeObject(this)
+    out.close()
+    Base64.getEncoder.encodeToString(bytes.toByteArray)
+  }
+}
+
+object Catalog {
+  /** The classes a serialised catalog is made of: the metadata classes, the
+    * Scala collections, options and tuples holding them, and boxed values.
+    * Any other class in a [[decode]]d option is rejected before it is
+    * instantiated, since the option can come from outside the program.
+    */
+  private val DecodeFilter: ObjectInputFilter = ObjectInputFilter.Config.createFilter(
+    "!scala.collection.immutable.LazyList*;repro.core.**;scala.collection.**;scala.*;" +
+      "scala.runtime.ModuleSerializationProxy;java.lang.Object;java.lang.Number;" +
+      "java.lang.Integer;java.lang.Long;java.lang.Double;java.lang.String;!*")
+
+  /** The catalog an [[Catalog.encoded]] string holds. */
+  def decode(encoded: String): Catalog = {
+    val in = new ObjectInputStream(new ByteArrayInputStream(Base64.getDecoder.decode(encoded)))
+    in.setObjectInputFilter(DecodeFilter)
+    try in.readObject().asInstanceOf[Catalog] finally in.close()
   }
 }

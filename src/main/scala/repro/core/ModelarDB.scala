@@ -136,17 +136,31 @@ object ModelarDB {
     )
   }
 
-  /** The Segment View over this store (Section VI-A). */
+  /** The Segment View over this store (Section VI-A), optionally
+    * restricted to the series `tids` and to the segments overlapping
+    * `[from, to]`; both are plain filters that the store pushes down.
+    */
   def segmentView(spark: SparkSession, cfg: Config, catalog: Catalog,
                   tids: Option[Seq[Int]] = None,
-                  timeRange: Option[(Long, Long)] = None): DataFrame =
-    SegmentView(spark, cfg.storePath, catalog, tids, timeRange)
+                  timeRange: Option[(Long, Long)] = None): DataFrame = {
+    val sv = SegmentView(spark, cfg.storePath, catalog)
+    val ofTids = tids.fold(sv)(ts => sv.filter(col("tid").isin(ts: _*)))
+    timeRange.fold(ofTids) { case (from, to) =>
+      ofTids.filter(col("end_time") >= from && col("start_time") <= to)
+    }
+  }
 
-  /** The Data Point View over this store (Section VI-A). */
+  /** The Data Point View over this store (Section VI-A), optionally
+    * restricted to the series `tids` and to the points in `[from, to]`: the
+    * segments overlapping the range are scanned and the reconstructed points
+    * re-filtered exactly.
+    */
   def dataPointView(spark: SparkSession, cfg: Config, catalog: Catalog,
                     tids: Option[Seq[Int]] = None,
-                    timeRange: Option[(Long, Long)] = None): DataFrame =
-    DataPointView(spark, cfg.storePath, catalog, tids, timeRange)
+                    timeRange: Option[(Long, Long)] = None): DataFrame = {
+    val dpv = DataPointView.fromSegmentView(segmentView(spark, cfg, catalog, tids, timeRange))
+    timeRange.fold(dpv) { case (from, to) => dpv.filter(col("ts") >= from && col("ts") <= to) }
+  }
 
   /** Register `segment_view` and `datapoint_view` temp views plus the `*_S`
     * UDAFs so plain SQL can run against the store.
@@ -160,7 +174,6 @@ object ModelarDB {
   /** `CUBE_<agg>_<interval>` on this store (Section VI-C). */
   def timeCube(spark: SparkSession, cfg: Config, catalog: Catalog,
                interval: TimeCube.Interval, agg: String,
-               groupCols: Seq[String] = Seq("tid"),
-               tids: Option[Seq[Int]] = None): DataFrame =
-    TimeCube.cube(segmentView(spark, cfg, catalog, tids), interval, agg, groupCols)
+               groupCols: Seq[String] = Seq("tid")): DataFrame =
+    TimeCube.cube(segmentView(spark, cfg, catalog), interval, agg, groupCols)
 }

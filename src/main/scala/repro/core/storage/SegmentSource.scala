@@ -3,6 +3,7 @@ package repro.core.storage
 import java.io.File
 import java.nio.file.{DirectoryNotEmptyException, Files, Paths, StandardCopyOption}
 import java.util.UUID
+import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 import org.apache.spark.sql.SparkSession
@@ -15,32 +16,48 @@ import org.apache.spark.sql.sources._
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
+import org.apache.spark.unsafe.types.UTF8String
 
+import repro.core.Catalog
 import repro.core.Types.SegmentRecord
 
 /** DataSourceV2 provider for the segment group store (`.sgmt` files on the
   * local filesystem) — the paper's "Segment Storage" component, exposed to
   * Spark as `spark.read.format("repro.core.storage.SegmentSource")`.
   *
-  * Supports predicate push-down on `gid`, `end_time` and `start_time`
-  * (the columns the paper pushes to Cassandra, Section VI-B): pushed
-  * predicates are used both for whole-file skipping via the per-file
-  * min/max header and for row filtering during the scan. Pushed filters are
-  * also left in the residual so Catalyst re-checks them — push-down here is
-  * a pruning optimization, never a correctness dependency.
+  * A table has one of two schemas:
   *
-  * Segments reach the store only through this source's batch write
-  * (`df.write.format(FormatName).mode("append").save(path)`), whose files
-  * become visible together when the job commits.
+  *  - without options besides `path`, the raw segments, [[Schema]] (paper
+  *    Figure 6). Segments reach the store only through this schema's batch
+  *    write (`df.write.format(FormatName).mode("append").save(path)`), whose
+  *    files become visible together when the job commits.
+  *  - with the store's catalog in option [[CatalogOption]] (a
+  *    [[Catalog.encoded]] string), the paper's Segment View (Section VI-A):
+  *    each segment is exploded into one row per member its Gaps bitmask
+  *    marks present, carrying the member's Tid, its position
+  *    `sidx` among the `nseries` present members, its scaling constant and
+  *    its denormalised dimension columns. A segment whose gid is not a group
+  *    of the catalog fails the scan with an error naming its file.
+  *
+  * Predicates on `gid`, `end_time` and `start_time` (the columns the paper
+  * pushes to Cassandra, Section VI-B) are pushed down. With a catalog, so are
+  * `=`, `IN`, `<`, `<=`, `>`, `>=` on `tid` and `=`/`IN` on dimension
+  * columns: each is evaluated against the catalog's series and the matching
+  * Tids are rewritten to the Gids of their groups. The pushed bounds skip
+  * whole files via the per-file min/max header and filter segments during the
+  * scan, and EXPLAIN prints them as the scan's description. Every filter is
+  * also left in the residual so Catalyst re-checks it — push-down here is a
+  * pruning optimization, never a correctness dependency.
   */
 final class SegmentSource extends TableProvider {
-  override def inferSchema(options: CaseInsensitiveStringMap): StructType = SegmentSource.Schema
+  override def inferSchema(options: CaseInsensitiveStringMap): StructType =
+    SegmentSource.schemaOf(SegmentSource.catalogOf(options))
 
   override def getTable(schema: StructType, partitioning: Array[Transform],
                         properties: java.util.Map[String, String]): Table = {
     val path = properties.get("path")
     require(path != null, "option 'path' is required for the segment store")
-    new SegmentTable(path)
+    new SegmentTable(path, SegmentSource.catalogOf(properties))
   }
 
   override def supportsExternalMetadata(): Boolean = false
@@ -61,6 +78,25 @@ object SegmentSource {
   ))
 
   val FormatName: String = classOf[SegmentSource].getName
+
+  /** The option that carries a [[Catalog.encoded]] catalog. */
+  val CatalogOption: String = "catalog"
+
+  /** [[Schema]] without a catalog. With one, the Segment View's: the
+    * member's `tid` first, then [[Schema]], then the member's position `sidx`
+    * among the segment's `nseries` represented members, its `scaling` and the
+    * catalog's dimension columns.
+    */
+  private[storage] def schemaOf(catalog: Option[Catalog]): StructType =
+    catalog.fold(Schema)(c => StructType(
+      StructField("tid", IntegerType, nullable = false) +: Schema.fields ++: Seq(
+        StructField("sidx", IntegerType, nullable = false),
+        StructField("nseries", IntegerType, nullable = false),
+        StructField("scaling", DoubleType, nullable = false)) ++:
+        c.dimColumns.map { case (name, _, _) => StructField(name, StringType) }))
+
+  private def catalogOf(options: java.util.Map[String, String]): Option[Catalog] =
+    Option(options.get(CatalogOption)).map(Catalog.decode)
 
   /** Bounds extracted from pushed filters; evaluated against file headers
     * (skip) and rows (filter).
@@ -84,12 +120,25 @@ object SegmentSource {
         s.gid >= minGid && s.gid <= maxGid &&
         s.endTime >= minEnd && s.endTime <= maxEnd &&
         s.startTime >= minStart && s.startTime <= maxStart
+
+    /** The bounds as EXPLAIN prints them; unbounded ones are left out. */
+    def describe: String = {
+      def range[T](name: String, lo: T, hi: T, min: T, max: T): Option[String] =
+        if (lo == min && hi == max) None
+        else Some(s"$name=[${if (lo == min) "-inf" else lo}, ${if (hi == max) "inf" else hi}]")
+      (gids.map(g => g.toSeq.sorted.mkString("gids={", ", ", "}")) ++
+        range("gid", minGid, maxGid, Int.MinValue, Int.MaxValue) ++
+        range("end_time", minEnd, maxEnd, Long.MinValue, Long.MaxValue) ++
+        range("start_time", minStart, maxStart, Long.MinValue, Long.MaxValue))
+        .mkString("SegmentScan(", ", ", ")")
+    }
   }
 
   /** Fold the supported subset of Spark filters into [[Pushed]] bounds;
-    * returns the bounds and the filters actually used.
+    * returns the bounds and the filters actually used. With a catalog, Tid
+    * and dimension-column filters become Gid sets.
     */
-  def extract(filters: Array[Filter]): (Pushed, Array[Filter]) = {
+  def extract(filters: Array[Filter], catalog: Option[Catalog] = None): (Pushed, Array[Filter]) = {
     var p    = Pushed()
     val used = ArrayBuffer.empty[Filter]
     filters.foreach {
@@ -111,7 +160,32 @@ object SegmentSource {
       case f @ LessThanOrEqual("start_time", v: Long) => p = p.copy(maxStart = math.min(p.maxStart, v)); used += f
       case _                                      => ()
     }
+    for (c <- catalog; f <- filters; tids <- seriesMatching(c, f)) {
+      p = p.copy(gids = Some(intersect(p.gids, c.gidsForTids(tids)))); used += f
+    }
     (p, used.toArray)
+  }
+
+  /** The Tids of the catalog's series that a filter on `tid` or on a
+    * dimension column selects; None for any other filter.
+    */
+  private def seriesMatching(c: Catalog, f: Filter): Option[Seq[Int]] = {
+    def tids(keep: Int => Boolean) = Some(c.series.map(_.tid).filter(keep))
+    def members(column: String, values: Seq[Any]) =
+      c.dimColumns.collectFirst { case (`column`, dim, lvl) =>
+        values.collect { case m: String => m }.flatMap(c.tidsForMember(dim, lvl + 1, _))
+      }
+    f match {
+      case EqualTo("tid", v: Int)            => tids(_ == v)
+      case In("tid", vs)                     => val s = vs.toSet; tids(s.contains)
+      case LessThan("tid", v: Int)           => tids(_ < v)
+      case LessThanOrEqual("tid", v: Int)    => tids(_ <= v)
+      case GreaterThan("tid", v: Int)        => tids(_ > v)
+      case GreaterThanOrEqual("tid", v: Int) => tids(_ >= v)
+      case EqualTo(column, v: String)        => members(column, Seq(v))
+      case In(column, vs)                    => members(column, vs.toSeq)
+      case _                                 => None
+    }
   }
 
   private def intersect(a: Option[Set[Int]], b: Set[Int]): Set[Int] =
@@ -149,14 +223,15 @@ object SegmentSource {
 
 // ---- table -----------------------------------------------------------------
 
-private final class SegmentTable(path: String) extends Table with SupportsRead with SupportsWrite {
+private final class SegmentTable(path: String, catalog: Option[Catalog])
+    extends Table with SupportsRead with SupportsWrite {
   override def name(): String          = s"segments(`$path`)"
-  override def schema(): StructType    = SegmentSource.Schema
+  override def schema(): StructType    = SegmentSource.schemaOf(catalog)
   override def capabilities(): java.util.Set[TableCapability] =
     java.util.EnumSet.of(TableCapability.BATCH_READ, TableCapability.BATCH_WRITE)
 
   override def newScanBuilder(options: CaseInsensitiveStringMap): ScanBuilder =
-    new SegmentScanBuilder(path)
+    new SegmentScanBuilder(path, catalog)
 
   override def newWriteBuilder(info: LogicalWriteInfo): WriteBuilder = new WriteBuilder {
     override def build(): Write = new Write {
@@ -167,13 +242,13 @@ private final class SegmentTable(path: String) extends Table with SupportsRead w
 
 // ---- read ------------------------------------------------------------------
 
-private final class SegmentScanBuilder(path: String)
+private final class SegmentScanBuilder(path: String, catalog: Option[Catalog])
     extends ScanBuilder with SupportsPushDownFilters {
   private var pushed: SegmentSource.Pushed = SegmentSource.Pushed()
   private var used: Array[Filter]          = Array.empty
 
   override def pushFilters(filters: Array[Filter]): Array[Filter] = {
-    val (p, u) = SegmentSource.extract(filters)
+    val (p, u) = SegmentSource.extract(filters, catalog)
     pushed = p
     used = u
     filters // keep everything in the residual: pruning only, never semantics
@@ -182,7 +257,8 @@ private final class SegmentScanBuilder(path: String)
   override def pushedFilters(): Array[Filter] = used
 
   override def build(): Scan = new Scan with Batch {
-    override def readSchema(): StructType = SegmentSource.Schema
+    override def readSchema(): StructType = SegmentSource.schemaOf(catalog)
+    override def description(): String    = pushed.describe
     override def toBatch: Batch           = this
 
     /** At most one partition per core, the files spread over them by size
@@ -203,26 +279,57 @@ private final class SegmentScanBuilder(path: String)
     }
 
     override def createReaderFactory(): PartitionReaderFactory =
-      new SegmentReaderFactory(pushed)
+      new SegmentReaderFactory(pushed, catalog)
   }
 }
 
 private final case class SegmentFilesPartition(files: Seq[String]) extends InputPartition
 
-private final class SegmentReaderFactory(pushed: SegmentSource.Pushed)
+private final class SegmentReaderFactory(pushed: SegmentSource.Pushed, catalog: Option[Catalog])
     extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
-    val files = partition.asInstanceOf[SegmentFilesPartition].files
-    val rows: Iterator[SegmentRecord] = files.iterator.flatMap { file =>
+    val files   = partition.asInstanceOf[SegmentFilesPartition].files
+    val members = catalog.map(new MemberRows(_))
+    val rows: Iterator[InternalRow] = files.iterator.flatMap { file =>
       val bytes = Files.readAllBytes(Paths.get(file))
       if (!pushed.matchesFile(SegmentCodec.stats(bytes))) Iterator.empty
-      else SegmentCodec.decode(bytes).iterator.filter(pushed.matchesRow)
+      else SegmentCodec.decode(bytes).iterator.filter(pushed.matchesRow).flatMap { s =>
+        members.fold(Iterator.single(SegmentSource.toRow(s)))(_.of(s, file))
+      }
     }
     new PartitionReader[InternalRow] {
-      private var cur: SegmentRecord = _
+      private var cur: InternalRow = _
       override def next(): Boolean = { if (rows.hasNext) { cur = rows.next(); true } else false }
-      override def get(): InternalRow = SegmentSource.toRow(cur)
+      override def get(): InternalRow = cur
       override def close(): Unit = ()
+    }
+  }
+}
+
+/** The Segment View's explode, for one reader: a segment becomes one row per
+  * member of its group that the Gaps bitmask marks present, in sorted-tid
+  * order. A group's tids, scalings and dimension values are looked up once
+  * per reader.
+  */
+private final class MemberRows(catalog: Catalog) {
+  private final class Members(val tids: Array[Int], val scalings: Array[Double],
+                              val dims: Array[Array[UTF8String]])
+
+  private val groups = mutable.HashMap.empty[Int, Members]
+
+  private def members(gid: Int, file: String): Members = groups.getOrElseUpdate(gid, {
+    val g = catalog.byGid.getOrElse(gid, throw new IllegalStateException(
+      s"segment file $file holds gid $gid, which is not a group of the catalog"))
+    new Members(g.tids.toArray, g.tids.map(catalog.byTid(_).scaling).toArray,
+                g.tids.map(catalog.dimValues(_).map(UTF8String.fromString).toArray).toArray)
+  })
+
+  def of(s: SegmentRecord, file: String): Iterator[InternalRow] = {
+    val m       = members(s.gid, file)
+    val present = m.tids.indices.filter(i => (s.gaps & (1L << i)) == 0)
+    present.iterator.zipWithIndex.map { case (i, sidx) =>
+      new GenericInternalRow(Array[Any](m.tids(i), s.gid, s.startTime, s.endTime, s.si, s.mid,
+        s.params, s.gaps, sidx, present.length, m.scalings(i)) ++ m.dims(i))
     }
   }
 }

@@ -1,9 +1,7 @@
 package repro.core.views
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-
-import repro.core.Catalog
 
 /** The paper's Data Point View (Section VI-A): every segment's model is
   * evaluated on its timestamp grid to reconstruct the data points within the
@@ -11,7 +9,11 @@ import repro.core.Catalog
   * SQL (point/range predicates, GROUP BY, joins) runs on this view; segments
   * are only decompressed when actually scanned (Table I: lazy decompression —
   * here by construction, since reconstruction is a deferred Catalyst
-  * transformation over the pushed-down segment scan).
+  * transformation over the pushed-down segment scan). Filters on `tid` and
+  * on dimension columns pass below the reconstruction to the Segment View's
+  * scan, so they reach the segment store; a filter on `ts` cannot, so a time
+  * range also needs a segment-overlap filter on the Segment View
+  * (`ModelarDB.dataPointView` adds both).
   */
 object DataPointView {
 
@@ -27,23 +29,5 @@ object DataPointView {
       .select(col("tid") +:
         (col("start_time") + col("tick").cast("long") * col("si")).as("ts") +:
         col("value") +: keep.filterNot(_ == "tid").map(col): _*)
-  }
-
-  /** Build the view directly from a store path, optionally restricted to
-    * `tids` (rewritten to Gids for push-down) and to points in
-    * `[from, to]` — segments overlapping the range are scanned and the
-    * reconstructed points re-filtered exactly.
-    */
-  def apply(
-      spark: SparkSession,
-      storePath: String,
-      catalog: Catalog,
-      tids: Option[Seq[Int]] = None,
-      timeRange: Option[(Long, Long)] = None,
-  ): DataFrame = {
-    val base = fromSegmentView(SegmentView(spark, storePath, catalog, tids, timeRange))
-    timeRange.fold(base) { case (from, to) =>
-      base.filter(col("ts") >= from && col("ts") <= to)
-    }
   }
 }

@@ -100,4 +100,15 @@ class CatalogSpec extends AnyFunSuite {
     assert(s1 != s3)
     assert(s1.length == 2)
   }
+
+  test("decode restores an encoded catalog and rejects a foreign class") {
+    assert(Catalog.decode(cat.encoded) == cat)
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out   = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(new java.util.ArrayList[String]())
+    out.close()
+    val foreign = java.util.Base64.getEncoder.encodeToString(bytes.toByteArray)
+    val e = intercept[java.io.InvalidClassException](Catalog.decode(foreign))
+    assert(e.getMessage.contains("REJECTED"), e.getMessage)
+  }
 }
