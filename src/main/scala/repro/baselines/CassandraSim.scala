@@ -1,11 +1,6 @@
 package repro.baselines
 
-import java.io.File
 import java.nio.ByteBuffer
-import java.nio.file.{Files, Paths}
-
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 /** Cassandra-like baseline: a row-oriented store of `(ts, value)` records
   * clustered by primary key `(tid, ts)` — one file per Tid partition, like
@@ -17,68 +12,20 @@ import org.apache.spark.sql.functions._
   * and large-aggregate scans because a general-purpose byte compressor over
   * row-major data cannot exploit temporal structure.
   */
-object CassandraSim {
+object CassandraSim extends PerSeriesFileStore(".cas") {
+
+  override val name = "Cassandra(sim)"
 
   private val RecordBytes = 12 // ts i64, value f32 (tid is the partition/file)
 
-  /** Write the points (one framed-LZ4 file per tid, rows sorted by ts).
-    * Returns on-disk bytes.
-    */
-  def write(points: DataFrame, path: String): Long = {
-    val dir = new File(path)
-    if (!dir.exists()) dir.mkdirs()
-    points
-      .repartition(col("tid"))
-      .sortWithinPartitions("tid", "ts")
-      .select(col("tid").cast("int"), col("ts").cast("long"), col("value").cast("float"))
-      .foreachPartition { (rows: Iterator[org.apache.spark.sql.Row]) =>
-        val it = rows.buffered
-        while (it.hasNext) {
-          val tid = it.head.getInt(0)
-          val buf = new java.io.ByteArrayOutputStream(1 << 18)
-          val bb  = ByteBuffer.allocate(RecordBytes)
-          while (it.hasNext && it.head.getInt(0) == tid) {
-            val r = it.next()
-            bb.clear()
-            bb.putLong(r.getLong(1)).putFloat(r.getFloat(2))
-            buf.write(bb.array(), 0, RecordBytes)
-          }
-          Files.write(new File(path, s"tid=$tid.cas").toPath,
-                      Lz4Block.compress(buf.toByteArray))
-        }
-        ()
-      }
-    storeBytes(path)
+  override def encodeSeries(points: IndexedSeq[(Long, Float)]): Array[Byte] = {
+    val bb = ByteBuffer.allocate(points.length * RecordBytes)
+    points.foreach { case (ts, v) => bb.putLong(ts).putFloat(v) }
+    Lz4Block.compress(bb.array())
   }
 
-  /** Read the store back as `(tid, ts, value)`, pruning whole partitions
-    * when `tids` is given (Cassandra's partition-key lookup).
-    */
-  def read(spark: SparkSession, path: String, tids: Option[Seq[Int]] = None): DataFrame = {
-    import spark.implicits._
-    val files = listFiles(path)
-      .filter(f => tids.forall(_.contains(tidOf(f))))
-      .map(f => (tidOf(f), f.getAbsolutePath))
-    spark.sparkContext
-      .parallelize(files, math.max(1, math.min(files.length, 64)))
-      .flatMap { case (tid, f) =>
-        val raw = Lz4Block.decompress(Files.readAllBytes(Paths.get(f)))
-        val bb  = ByteBuffer.wrap(raw)
-        Iterator.continually(bb).takeWhile(_.remaining() >= RecordBytes).map { b =>
-          (tid, b.getLong, b.getFloat)
-        }
-      }
-      .toDF("tid", "ts", "value")
+  override def decodeSeries(bytes: Array[Byte]): IndexedSeq[(Long, Float)] = {
+    val bb = ByteBuffer.wrap(Lz4Block.decompress(bytes))
+    IndexedSeq.fill(bb.remaining() / RecordBytes)((bb.getLong, bb.getFloat))
   }
-
-  private def tidOf(f: File): Int =
-    f.getName.stripPrefix("tid=").stripSuffix(".cas").toInt
-
-  def listFiles(path: String): Seq[File] = {
-    val dir = new File(path)
-    if (!dir.exists()) Seq.empty
-    else dir.listFiles((_, n) => n.startsWith("tid=") && n.endsWith(".cas")).toSeq.sortBy(_.getName)
-  }
-
-  def storeBytes(path: String): Long = listFiles(path).map(_.length()).sum
 }

@@ -13,23 +13,30 @@ import org.apache.spark.sql.functions._
   */
 object FormatBaselines {
 
-  /** Write `points` (plus optional dimension columns) as `format` under
-    * `path`; returns the on-disk bytes.
-    */
-  def write(points: DataFrame, path: String, format: String): Long = {
-    points
-      .repartition(col("tid"))
-      .sortWithinPartitions("tid", "ts")
-      .write.mode(SaveMode.Overwrite).format(format).save(path)
-    dirBytes(new File(path))
+  val Parquet: RawStore = SparkFormat("parquet", "Parquet")
+  val Orc: RawStore     = SparkFormat("orc", "ORC")
+
+  /** A Spark file format written and read by Spark's own writer and reader. */
+  private final case class SparkFormat(format: String, name: String) extends RawStore {
+
+    override def carriesDims: Boolean = true
+
+    override def write(points: DataFrame, path: String): Long = {
+      points
+        .repartition(col("tid"))
+        .sortWithinPartitions("tid", "ts")
+        .write.mode(SaveMode.Overwrite).format(format).save(path)
+      dirBytes(new File(path))
+    }
+
+    override def read(spark: SparkSession, path: String, tids: Option[Seq[Int]] = None): DataFrame = {
+      val df = spark.read.format(format).load(path)
+      tids.fold(df)(ts => df.filter(col("tid").isin(ts: _*)))
+    }
   }
 
-  /** Read a format back. */
-  def read(spark: SparkSession, path: String, format: String): DataFrame =
-    spark.read.format(format).load(path)
-
   /** Recursive on-disk size, excluding Spark's bookkeeping files. */
-  def dirBytes(dir: File): Long =
+  private def dirBytes(dir: File): Long =
     if (!dir.exists()) 0L
     else if (dir.isFile) {
       val n = dir.getName

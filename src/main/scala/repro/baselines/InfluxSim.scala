@@ -1,12 +1,8 @@
 package repro.baselines
 
-import java.io.{ByteArrayOutputStream, DataOutputStream, File}
-import java.nio.file.{Files, Paths}
+import java.io.{ByteArrayOutputStream, DataOutputStream}
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-
-import repro.core.model.{BitReader, Gorilla}
+import repro.core.model.Gorilla
 import repro.core.storage.SegmentCodec
 
 /** InfluxDB-like baseline: one TSM-style file per series (`tid=<n>.tsm`,
@@ -17,12 +13,14 @@ import repro.core.storage.SegmentCodec
   * tag index, which is why this baseline wins point/range queries in the
   * paper while losing large aggregates.
   */
-object InfluxSim {
+object InfluxSim extends PerSeriesFileStore(".tsm") {
+
+  override val name = "InfluxDB(sim)"
 
   private val BlockPoints = 1000
 
   /** Encode one series' sorted points into the TSM-like image. */
-  def encodeSeries(points: IndexedSeq[(Long, Float)]): Array[Byte] = {
+  override def encodeSeries(points: IndexedSeq[(Long, Float)]): Array[Byte] = {
     val out = new ByteArrayOutputStream(points.length * 3 + 64)
     val dos = new DataOutputStream(out)
     points.grouped(BlockPoints).foreach { block =>
@@ -49,84 +47,25 @@ object InfluxSim {
   }
 
   /** Decode a TSM-like image back to sorted points. */
-  def decodeSeries(bytes: Array[Byte]): IndexedSeq[(Long, Float)] = {
+  override def decodeSeries(bytes: Array[Byte]): IndexedSeq[(Long, Float)] = {
     val out = scala.collection.mutable.ArrayBuffer.empty[(Long, Float)]
-    var pos = 0
-    def u8(): Int = { val b = bytes(pos) & 0xFF; pos += 1; b }
-    def varLong(): Long = {
-      var shift = 0; var v = 0L; var b = 0
-      do { b = u8(); v |= (b & 0x7FL) << shift; shift += 7 } while ((b & 0x80) != 0)
-      v
-    }
-    while (pos < bytes.length) {
-      val n  = varLong().toInt
+    val r   = new SegmentCodec.Reader(bytes, 0)
+    while (r.pos < bytes.length) {
+      val n  = r.varLong().toInt
       val ts = new Array[Long](n)
-      ts(0) = SegmentCodec.unzigzag(varLong())
+      ts(0) = SegmentCodec.unzigzag(r.varLong())
       var prevDelta = 0L
       var i = 1
       while (i < n) {
-        val delta = prevDelta + SegmentCodec.unzigzag(varLong())
+        val delta = prevDelta + SegmentCodec.unzigzag(r.varLong())
         ts(i) = ts(i - 1) + delta
         prevDelta = delta
         i += 1
       }
-      val blen  = varLong().toInt
-      val vbuf  = java.util.Arrays.copyOfRange(bytes, pos, pos + blen)
-      pos += blen
-      val values = Gorilla.decode(vbuf, 1, n)
+      val values = Gorilla.decode(r.raw(r.varLong().toInt), 1, n)
       i = 0
       while (i < n) { out += ((ts(i), values(i))); i += 1 }
     }
     out.toIndexedSeq
   }
-
-  /** Write the points, one file per tid. Returns on-disk bytes. */
-  def write(points: DataFrame, path: String): Long = {
-    val dir = new File(path)
-    if (!dir.exists()) dir.mkdirs()
-    points
-      .repartition(col("tid"))
-      .sortWithinPartitions("tid", "ts")
-      .select(col("tid").cast("int"), col("ts").cast("long"), col("value").cast("float"))
-      .foreachPartition { (rows: Iterator[org.apache.spark.sql.Row]) =>
-        val it = rows.buffered
-        while (it.hasNext) {
-          val tid = it.head.getInt(0)
-          val pts = scala.collection.mutable.ArrayBuffer.empty[(Long, Float)]
-          while (it.hasNext && it.head.getInt(0) == tid) {
-            val r = it.next()
-            pts += ((r.getLong(1), r.getFloat(2)))
-          }
-          Files.write(new File(path, s"tid=$tid.tsm").toPath, encodeSeries(pts.toIndexedSeq))
-        }
-      }
-    storeBytes(path)
-  }
-
-  /** Read the store back, pruning whole files when `tids` is given (the
-    * series-index lookup InfluxDB performs).
-    */
-  def read(spark: SparkSession, path: String, tids: Option[Seq[Int]] = None): DataFrame = {
-    import spark.implicits._
-    val files = listFiles(path)
-      .filter(f => tids.forall(_.contains(tidOf(f))))
-      .map(f => (tidOf(f), f.getAbsolutePath))
-    spark.sparkContext
-      .parallelize(files, math.max(1, math.min(files.length, 64)))
-      .flatMap { case (tid, f) =>
-        decodeSeries(Files.readAllBytes(Paths.get(f))).iterator.map { case (ts, v) => (tid, ts, v) }
-      }
-      .toDF("tid", "ts", "value")
-  }
-
-  private def tidOf(f: File): Int =
-    f.getName.stripPrefix("tid=").stripSuffix(".tsm").toInt
-
-  def listFiles(path: String): Seq[File] = {
-    val dir = new File(path)
-    if (!dir.exists()) Seq.empty
-    else dir.listFiles((_, n) => n.startsWith("tid=") && n.endsWith(".tsm")).toSeq.sortBy(_.getName)
-  }
-
-  def storeBytes(path: String): Long = listFiles(path).map(_.length()).sum
 }

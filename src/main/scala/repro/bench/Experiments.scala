@@ -3,7 +3,7 @@ package repro.bench
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.baselines.ValueGrouping
+import repro.baselines.{RawStore, ValueGrouping}
 import repro.core.ModelarDB
 import repro.core.golemm.GolemmConfig
 import repro.core.grouping.Correlation
@@ -25,13 +25,13 @@ object Experiments {
   def ingestion(spark: SparkSession, ds: TimeSeriesGen.Dataset,
                 eps: Double = 10.0): Seq[IngestRow] = {
     val n    = ds.pointCount
-    val flat = Stores.flatCatalog(spark, ds)
+    val flat = Stores.flatCatalog(ds)
     val mdbRows = Stores.mdbVariants(ds.name, eps).map { case (name, clauses, g) =>
       val (mdb, secs) = Stores.buildMdb(spark, ds, name, clauses, g)
       IngestRow(name, secs, n / secs / 1e6, mdb.stats.storeBytes)
     }
-    val rawRows = Seq("parquet", "orc", "cas", "influx").map { f =>
-      val (raw, secs) = Stores.buildRaw(spark, ds, flat, f)
+    val rawRows = RawStore.all.map { store =>
+      val (raw, secs) = Stores.buildRaw(spark, ds, flat, store)
       IngestRow(raw.name, secs, n / secs / 1e6, raw.bytes)
     }
     mdbRows ++ rawRows
@@ -106,9 +106,9 @@ object Experiments {
         ds.series.length.toDouble / mdb.catalog.groups.length,
         averageErrorPct(spark, mdb, ds))
     }
-    val flat = Stores.flatCatalog(spark, ds)
-    val rawRows = Seq("parquet", "orc", "cas", "influx").map { f =>
-      val (raw, _) = Stores.buildRaw(spark, ds, flat, f)
+    val flat = Stores.flatCatalog(ds)
+    val rawRows = RawStore.all.map { store =>
+      val (raw, _) = Stores.buildRaw(spark, ds, flat, store)
       CompressionRow(ds.name, raw.name, 0.0, raw.bytes, 0, Map.empty,
                      0, 0, 0.0, 0.0, ds.series.length, 1.0, 0.0)
     }
@@ -170,8 +170,8 @@ object Experiments {
     val (gbName, gbClauses, gbCfg) = variants.head
     val (mdbGb, _)  = Stores.buildMdb(spark, ds, gbName, gbClauses, gbCfg)
     val (mdbNoG, _) = Stores.buildMdb(spark, ds, "MDB+ -G", Nil, GolemmConfig(epsilonPct = eps))
-    val flat = Stores.flatCatalog(spark, ds)
-    val raws = Seq("parquet", "orc", "cas", "influx").map(f => Stores.buildRaw(spark, ds, flat, f)._1)
+    val flat = Stores.flatCatalog(ds)
+    val raws = RawStore.all.map(store => Stores.buildRaw(spark, ds, flat, store)._1)
     val env  = QueryEnv(ds, mdbGb, mdbNoG, raws)
     warmup(spark, env)
     env
@@ -266,10 +266,8 @@ object Experiments {
 
     val flat = env.mdbNoG.catalog
     def rawCube(raw: Stores.Raw, withTid: Boolean): Double = {
-      val base = raw.format match {
-        case "cas" | "influx" => Stores.withDims(raw.points(spark), flat)
-        case _                => raw.points(spark)
-      }
+      val base = if (raw.store.carriesDims) raw.points(spark)
+                 else Stores.withDims(raw.points(spark), flat)
       val bucketed = base.withColumn("bucket", (col("ts") / 3600000L).cast("long") * 3600000L)
       val cols = if (withTid) Seq(dimCol, "tid", "bucket") else Seq(dimCol, "bucket")
       BenchUtil.queryTime(bucketed.groupBy(cols.map(col): _*).agg(sum("value").as("value")))

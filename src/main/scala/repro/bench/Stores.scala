@@ -5,10 +5,10 @@ import java.nio.file.Files
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.baselines.{CassandraSim, FormatBaselines, InfluxSim}
+import repro.baselines.RawStore
 import repro.core.{Catalog, ModelarDB}
 import repro.core.golemm.GolemmConfig
-import repro.core.grouping.Correlation
+import repro.core.grouping.{Correlation, Grouper}
 import repro.core.model.ModelType
 import repro.data.TimeSeriesGen
 
@@ -90,41 +90,26 @@ object Stores {
     (Mdb(name, cfg, setup, stats), seconds)
   }
 
-  /** A queryable baseline store of raw points (+dims for the formats). */
-  final case class Raw(name: String, path: String, bytes: Long, format: String) {
-    def points(spark: SparkSession, tids: Option[Seq[Int]] = None): DataFrame = format match {
-      case "cas"    => CassandraSim.read(spark, path, tids)
-      case "influx" => InfluxSim.read(spark, path, tids)
-      case f =>
-        val df = FormatBaselines.read(spark, path, f)
-        tids.fold(df)(ts => df.filter(col("tid").isin(ts: _*)))
-    }
+  /** A built industry-baseline store ready for querying. */
+  final case class Raw(store: RawStore, path: String, bytes: Long) {
+    def name: String = store.name
+
+    def points(spark: SparkSession, tids: Option[Seq[Int]] = None): DataFrame =
+      store.read(spark, path, tids)
   }
 
+  /** Write the data set into `store`, with the catalog's dimension columns
+    * if the store carries them.
+    */
   def buildRaw(spark: SparkSession, ds: TimeSeriesGen.Dataset, catalog: Catalog,
-               format: String): (Raw, Double) = {
-    val path = tmpDir(format) + "/data"
-    val (bytes, seconds) = BenchUtil.timed {
-      format match {
-        case "cas"    => CassandraSim.write(ds.points, path)
-        case "influx" => InfluxSim.write(ds.points, path)
-        case f        => FormatBaselines.write(withDims(ds.points, catalog), path, f)
-      }
-    }
-    (Raw(nameOf(format), path, bytes, format), seconds)
-  }
-
-  def nameOf(format: String): String = format match {
-    case "cas"     => "Cassandra(sim)"
-    case "influx"  => "InfluxDB(sim)"
-    case "parquet" => "Parquet"
-    case "orc"     => "ORC"
-    case f         => f
+               store: RawStore): (Raw, Double) = {
+    val path   = tmpDir("raw") + "/data"
+    val points = if (store.carriesDims) withDims(ds.points, catalog) else ds.points
+    val (bytes, seconds) = BenchUtil.timed(store.write(points, path))
+    (Raw(store, path, bytes), seconds)
   }
 
   /** A catalog with no grouping — used to attach dims to baseline stores. */
-  def flatCatalog(spark: SparkSession, ds: TimeSeriesGen.Dataset): Catalog = {
-    val cfg = ModelarDB.Config(storePath = tmpDir("unused"))
-    ModelarDB.setup(spark, cfg, ds.series, ds.dims, Nil).catalog
-  }
+  def flatCatalog(ds: TimeSeriesGen.Dataset): Catalog =
+    Catalog(ds.series, Grouper.group(ds.series, ds.dims, Nil).groups, ds.dims)
 }

@@ -4,7 +4,7 @@ import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputFilter, 
 import java.util.Base64
 
 import repro.core.Types.{Group, TimeSeriesMeta}
-import repro.core.grouping.DimensionSpec
+import repro.core.grouping.{DimensionSpec, Dimensions}
 
 /** In-memory metadata for one ModelarDB+ store: the paper's Time Series table
   * (Tid → SI, Scaling, Gid, denormalized dimensions) plus the group
@@ -59,10 +59,7 @@ final case class Catalog(
 
   /** Tids of the series with `member` at 1-based `level` of `dimension`. */
   def tidsForMember(dimension: String, level: Int, member: String): Seq[Int] =
-    series.filter { ts =>
-      val ms = ts.dims.getOrElse(dimension, IndexedSeq.empty)
-      ms.length >= level && level >= 1 && ms(level - 1) == member
-    }.map(_.tid)
+    series.filter(Dimensions.hasMember(_, dimension, level, member)).map(_.tid)
 
   /** Denormalized dimension columns of the views: (columnName, dimension,
     * 0-based level index), e.g. `location_park` for level `Park` of

@@ -64,9 +64,6 @@ final class SegmentGenerator(
   /** Timestamp the buffer starts at (undefined when empty). */
   def bufferStart: Long = firstTs
 
-  /** The current model type index — exposed for tests. */
-  def currentTypeIndex: Int = cur
-
   /** Append the values for the next tick at `ts`. The caller guarantees ticks
     * are contiguous (`ts` advances by exactly `si`). Returns any segments
     * emitted as a consequence.

@@ -29,11 +29,10 @@ final class SplitManager(
 
   /** Counters exposed for the evaluation's overhead measurements. */
   final class Stats {
-    var splits: Int             = 0
-    var merges: Int             = 0
-    var mergeAttempts: Int      = 0
-    var segmentsEmitted: Long   = 0
-    var splitMergeNanos: Long   = 0
+    var splits: Int           = 0
+    var merges: Int           = 0
+    var mergeAttempts: Int    = 0
+    var splitMergeNanos: Long = 0
   }
   val stats = new Stats
 
@@ -80,7 +79,6 @@ final class SplitManager(
       if (segs.nonEmpty) {
         if (out == null) out = ArrayBuffer.empty
         out ++= segs
-        stats.segmentsEmitted += segs.length
         segmentsSinceAttempt += segs.length
         segs.foreach { s => ratioSum += ratioOf(s); ratioCount += 1 }
         if (cfg.dynamicSplitting && sub.memberIdx.length > 1 && shouldSplit(sub, segs)) {
@@ -109,9 +107,7 @@ final class SplitManager(
 
   /** Flush every sub-group (end of stream). */
   def close(): Seq[SegmentRecord] = {
-    val out = subs.flatMap(_.comp.close())
-    stats.segmentsEmitted += out.length
-    out.toSeq
+    subs.flatMap(_.comp.close()).toSeq
   }
 
   private def shouldSplit(sub: Sub, emitted: Seq[SegmentRecord]): Boolean = {

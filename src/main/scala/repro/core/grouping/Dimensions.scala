@@ -26,6 +26,14 @@ object Dimensions {
   def membersOf(meta: TimeSeriesMeta, dim: DimensionSpec): IndexedSeq[String] =
     meta.dims.getOrElse(dim.name, IndexedSeq.empty)
 
+  /** Does `meta` have `member` at 1-based `level` of the dimension named
+    * `dimension`? A series without that dimension or level does not.
+    */
+  def hasMember(meta: TimeSeriesMeta, dimension: String, level: Int, member: String): Boolean = {
+    val ms = meta.dims.getOrElse(dimension, IndexedSeq.empty)
+    level >= 1 && ms.length >= level && ms(level - 1) == member
+  }
+
   /** Lowest Common Ancestor level of a set of series for one dimension: the
     * deepest level (counting ⊤ as 0) down to which ALL series share members
     * (paper Section IV-B, Figure 7).

@@ -33,10 +33,7 @@ object Correlation {
                             dims: Seq[DimensionSpec]): Boolean = {
       val dim = Primitives.dim(dims, dimension)
       require(level >= 1 && level <= dim.depth, s"level $level out of range for $dimension")
-      (g1 ++ g2).forall { ts =>
-        val ms = Dimensions.membersOf(ts, dim)
-        ms.length >= level && ms(level - 1) == member
-      }
+      (g1 ++ g2).forall(Dimensions.hasMember(_, dim.name, level, member))
     }
   }
 
@@ -113,11 +110,8 @@ object ScalingRule {
   /** The 4-tuple `<dimension> <level> <member> <constant>`. */
   final case class ForMember(dimension: String, level: Int, member: String, constant: Double)
       extends ScalingRule {
-    override def applies(ts: TimeSeriesMeta, dims: Seq[DimensionSpec]): Boolean = {
-      val dim = Primitives.dim(dims, dimension)
-      val ms  = Dimensions.membersOf(ts, dim)
-      ms.length >= level && level >= 1 && ms(level - 1) == member
-    }
+    override def applies(ts: TimeSeriesMeta, dims: Seq[DimensionSpec]): Boolean =
+      Dimensions.hasMember(ts, Primitives.dim(dims, dimension).name, level, member)
   }
 }
 

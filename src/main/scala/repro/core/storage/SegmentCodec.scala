@@ -43,9 +43,12 @@ object SegmentCodec {
   def zigzag(v: Long): Long   = (v << 1) ^ (v >> 63)
   def unzigzag(v: Long): Long = (v >>> 1) ^ -(v & 1)
 
-  private final class Reader(bytes: Array[Byte], var pos: Int) {
+  /** Reads unsigned LEB128 varints, bytes and byte runs of an image from
+    * `pos` on; reading past its end throws an `EOFException`.
+    */
+  final class Reader(bytes: Array[Byte], var pos: Int) {
     def u8(): Int = {
-      if (pos >= bytes.length) throw new EOFException("segment file truncated")
+      if (pos >= bytes.length) throw new EOFException("file truncated")
       val b = bytes(pos) & 0xFF; pos += 1; b
     }
     def varLong(): Long = {
@@ -58,7 +61,7 @@ object SegmentCodec {
       out
     }
     def raw(n: Int): Array[Byte] = {
-      if (pos + n > bytes.length) throw new EOFException("segment file truncated")
+      if (pos + n > bytes.length) throw new EOFException("file truncated")
       val a = java.util.Arrays.copyOfRange(bytes, pos, pos + n); pos += n; a
     }
   }

@@ -175,7 +175,6 @@ object TimeSeriesGen {
     )
     val specs  = ArrayBuffer.empty[SeriesSpec]
     val series = ArrayBuffer.empty[TimeSeriesMeta]
-    val rng    = new Random(seed)
     var tid     = 1
     var cluster = 0
     for (e <- 0 until nEntities) {
@@ -221,7 +220,6 @@ object TimeSeriesGen {
     )
     val specs  = ArrayBuffer.empty[SeriesSpec]
     val series = ArrayBuffer.empty[TimeSeriesMeta]
-    val rng    = new Random(seed)
     var tid = 1
     val concretes = measures.flatMap(_._2)
     // cluster id = park * |concretes| + concrete index
@@ -261,7 +259,6 @@ object TimeSeriesGen {
     val dims = Seq(DimensionSpec("Forex", IndexedSeq("Category", "Pair", "Stream")))
     val specs  = ArrayBuffer.empty[SeriesSpec]
     val series = ArrayBuffer.empty[TimeSeriesMeta]
-    val rng    = new Random(seed)
     var tid = 1
     var cluster = 0
     for (c <- 0 until nCategories; p <- 0 until pairsPerCat) {

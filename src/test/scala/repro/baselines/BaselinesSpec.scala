@@ -1,10 +1,18 @@
 package repro.baselines
 
+import java.io.File
+import java.nio.ByteBuffer
+import java.nio.charset.StandardCharsets.UTF_8
+import java.nio.file.Files
+import java.security.MessageDigest
+
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
 import repro.{SparkSpec, TestStore}
+import repro.bench.Stores
 import repro.data.TimeSeriesGen
 
 class Lz4BlockSpec extends AnyFunSuite {
@@ -117,23 +125,70 @@ class FormatBaselinesSpec extends SparkSpec {
 
   test("parquet roundtrip and size accounting") {
     val path  = TestStore.tmpDir("pq") + "/data"
-    val bytes = FormatBaselines.write(ds.points, path, "parquet")
+    val bytes = FormatBaselines.Parquet.write(ds.points, path)
     assert(bytes > 0)
-    val back = FormatBaselines.read(spark, path, "parquet")
+    val back = FormatBaselines.Parquet.read(spark, path)
     assert(back.count() == ds.pointCount)
   }
 
   test("orc roundtrip") {
     val path  = TestStore.tmpDir("orc") + "/data"
-    val bytes = FormatBaselines.write(ds.points, path, "orc")
+    val bytes = FormatBaselines.Orc.write(ds.points, path)
     assert(bytes > 0)
-    assert(FormatBaselines.read(spark, path, "orc").count() == ds.pointCount)
+    assert(FormatBaselines.Orc.read(spark, path).count() == ds.pointCount)
   }
 
   test("columnar formats compress below raw size") {
     val path = TestStore.tmpDir("pq2") + "/data"
-    val bytes = FormatBaselines.write(ds.points, path, "parquet")
+    val bytes = FormatBaselines.Parquet.write(ds.points, path)
     assert(bytes < ds.pointCount * 16)
+  }
+}
+
+/** The four industry baselines through the path the experiments build and
+  * query them by. Each per-series store's files are pinned by a SHA-256 over
+  * the sorted (file name, bytes) pairs, so a refactor of the baselines
+  * cannot change what E1–E8 measure.
+  */
+class RawStoreSpec extends SparkSpec {
+
+  private lazy val ds   = TimeSeriesGen.epLike(spark, sf = 0.0005, gapProb = 0.01)
+  private lazy val flat = Stores.flatCatalog(ds)
+
+  private def filesDigest(path: String): String = {
+    val md = MessageDigest.getInstance("SHA-256")
+    new File(path).listFiles().sortBy(_.getName).foreach { f =>
+      val bytes = Files.readAllBytes(f.toPath)
+      md.update(f.getName.getBytes(UTF_8))
+      md.update(ByteBuffer.allocate(8).putLong(bytes.length.toLong).array())
+      md.update(bytes)
+    }
+    md.digest().map(b => f"${b & 0xff}%02x").mkString
+  }
+
+  private def sortedRows(df: DataFrame, columns: Seq[String]) =
+    df.select(columns.map(col): _*).orderBy("tid", "ts").collect().toSeq
+
+  test("Cassandra- and InfluxDB-like files are pinned") {
+    val digests = Seq(CassandraSim, InfluxSim).map { store =>
+      val (raw, _) = Stores.buildRaw(spark, ds, flat, store)
+      assert(raw.bytes == new File(raw.path).listFiles().map(_.length()).sum)
+      raw.name -> filesDigest(raw.path)
+    }
+    assert(digests == Seq(
+      "Cassandra(sim)" -> "37e407e2f8db9c1883125dd389dbf46fe02d9d0e37c01545ae3d760fdd28ca16",
+      "InfluxDB(sim)"  -> "4097803bfc26ba118452cad38a054fdc2d347730c5dca82597f3a84e11d833a1"))
+  }
+
+  test("Parquet and ORC read back the input points and their dimension columns") {
+    val input   = Stores.withDims(ds.points, flat)
+    val columns = input.columns.toSeq
+    assert(columns.length == 3 + flat.dimColumns.length)
+    val expected = sortedRows(input, columns)
+    Seq(FormatBaselines.Parquet, FormatBaselines.Orc).foreach { store =>
+      val (raw, _) = Stores.buildRaw(spark, ds, flat, store)
+      assert(sortedRows(raw.points(spark), columns) == expected, raw.name)
+    }
   }
 }
 

@@ -4,10 +4,11 @@ import java.nio.ByteBuffer
 import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Types.SegmentRecord
+import repro.core.model.ModelType
 import repro.data.TimeSeriesGen
 import repro.data.TimeSeriesGen.SeriesSpec
 
-/** Pins GOLEMM's output on two seeded inputs: the SHA-256 of every emitted
+/** Pins GOLEMM's output on three seeded inputs: the SHA-256 of every emitted
   * segment and the per-group counts summed. A change to the ingest kernel
   * that is meant to be a pure speed-up must leave both as they are.
   */
@@ -68,6 +69,15 @@ class GolemmPinSpec extends AnyFunSuite {
                                GolemmConfig(epsilonPct = 0.0))
     assert(digest == "ae34f5c5afcb0c9dbc6df7a911b843c796d8a97992bb0fe36db6debfb2d3929d")
     assert(totals == Totals(177585, 1254, Map(1 -> 241L, 2 -> 172L, 3 -> 841L), 26, 26, 35))
+  }
+
+  test("MDB v1 single series at eps=10 (PMC-MR, no splitting): segments and counts are pinned") {
+    val (digest, totals) = run(groups = 12, offsets = _ => IndexedSeq(0f), si = 60000,
+                               ticks = 2000, gapProb = 0.002, gapLenMax = 20, seed = 42,
+                               GolemmConfig(modelTypes = ModelType.mdbV1List, epsilonPct = 10.0,
+                                            dynamicSplitting = false))
+    assert(digest == "31a0b1dc0b9543f4617608373a0be4bb319e6953c05a41dcd5c1d2fcdf8d593e")
+    assert(totals == Totals(23655, 237, Map(2 -> 67L, 3 -> 15L, 4 -> 155L), 0, 0, 0))
   }
 }
 
