@@ -31,7 +31,7 @@ object Experiments {
       IngestRow(name, secs, n / secs / 1e6, mdb.stats.storeBytes)
     }
     val rawRows = RawStore.all.map { store =>
-      val (raw, secs) = Stores.buildRaw(spark, ds, flat, store)
+      val (raw, secs) = Stores.buildRaw(ds, flat, store)
       IngestRow(raw.name, secs, n / secs / 1e6, raw.bytes)
     }
     mdbRows ++ rawRows
@@ -108,7 +108,7 @@ object Experiments {
     }
     val flat = Stores.flatCatalog(ds)
     val rawRows = RawStore.all.map { store =>
-      val (raw, _) = Stores.buildRaw(spark, ds, flat, store)
+      val (raw, _) = Stores.buildRaw(ds, flat, store)
       CompressionRow(ds.name, raw.name, 0.0, raw.bytes, 0, Map.empty,
                      0, 0, 0.0, 0.0, ds.series.length, 1.0, 0.0)
     }
@@ -171,7 +171,7 @@ object Experiments {
     val (mdbGb, _)  = Stores.buildMdb(spark, ds, gbName, gbClauses, gbCfg)
     val (mdbNoG, _) = Stores.buildMdb(spark, ds, "MDB+ -G", Nil, GolemmConfig(epsilonPct = eps))
     val flat = Stores.flatCatalog(ds)
-    val raws = RawStore.all.map(store => Stores.buildRaw(spark, ds, flat, store)._1)
+    val raws = RawStore.all.map(store => Stores.buildRaw(ds, flat, store)._1)
     val env  = QueryEnv(ds, mdbGb, mdbNoG, raws)
     warmup(spark, env)
     env

@@ -1,6 +1,10 @@
 package repro.bench
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
+import java.util.Comparator
+
+import scala.collection.mutable.ArrayBuffer
+import scala.util.Try
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
@@ -17,8 +21,27 @@ import repro.data.TimeSeriesGen
   */
 object Stores {
 
-  def tmpDir(prefix: String): String =
-    Files.createTempDirectory(prefix).toFile.getAbsolutePath
+  /** A new temporary directory, deleted with everything under it when the
+    * JVM exits.
+    */
+  def tmpDir(prefix: String): String = {
+    val dir = Files.createTempDirectory(prefix)
+    tmpDirs.synchronized(tmpDirs += dir)
+    dir.toFile.getAbsolutePath
+  }
+
+  // Every directory `tmpDir` made, deleted by one shutdown hook.
+  private lazy val tmpDirs: ArrayBuffer[Path] = {
+    val dirs = ArrayBuffer.empty[Path]
+    sys.addShutdownHook(dirs.synchronized(dirs.foreach(deleteRecursively)))
+    dirs
+  }
+
+  private def deleteRecursively(dir: Path): Unit = Try {
+    val paths = Files.walk(dir)
+    try paths.sorted(Comparator.reverseOrder[Path]()).forEach(p => Files.deleteIfExists(p))
+    finally paths.close()
+  }
 
   /** The paper's evaluated ModelarDB variants (Section VII-A): best manual
     * grouping (+GB), automatic grouping (+GA), grouping disabled (−G) and the
@@ -101,8 +124,7 @@ object Stores {
   /** Write the data set into `store`, with the catalog's dimension columns
     * if the store carries them.
     */
-  def buildRaw(spark: SparkSession, ds: TimeSeriesGen.Dataset, catalog: Catalog,
-               store: RawStore): (Raw, Double) = {
+  def buildRaw(ds: TimeSeriesGen.Dataset, catalog: Catalog, store: RawStore): (Raw, Double) = {
     val path   = tmpDir("raw") + "/data"
     val points = if (store.carriesDims) withDims(ds.points, catalog) else ds.points
     val (bytes, seconds) = BenchUtil.timed(store.write(points, path))

@@ -3,7 +3,8 @@ package repro.core.golemm
 import scala.collection.mutable.ArrayBuffer
 import repro.core.Types.{Group, GroupChunk, SegmentRecord}
 
-/** Drives GOLEMM over one group's aligned tick stream and collects the
+/** Assembles a group's aligned tick stream and feeds it to
+  * [[SplitManager]], which runs GOLEMM for the group and counts the
   * statistics the evaluation reports (segment/model-type counts, dynamic
   * split/merge overhead).
   */
@@ -66,7 +67,6 @@ object Compressor {
     val t0      = System.nanoTime()
     val manager = new SplitManager(gid, nMembers, si, cfg)
     val out     = ArrayBuffer.empty[SegmentRecord]
-    var points  = 0L
     val allOne  = scalings.forall(_ == 1.0)
 
     ticks.foreach { case (ts, values) =>
@@ -81,26 +81,10 @@ object Compressor {
           }
           v
         }
-      var i = 0
-      while (i < nMembers) { if (!scaled(i).isNaN) points += 1; i += 1 }
       out ++= manager.consume(ts, scaled)
     }
     out ++= manager.close()
-
-    val perMid = out.groupBy(_.mid).map { case (m, ss) => m -> ss.length.toLong }
-    val stats = GroupStats(
-      gid = gid,
-      points = points,
-      segments = out.length,
-      paramBytes = out.iterator.map(_.params.length.toLong).sum,
-      perMid = perMid,
-      splits = manager.stats.splits,
-      merges = manager.stats.merges,
-      mergeAttempts = manager.stats.mergeAttempts,
-      splitMergeNanos = manager.stats.splitMergeNanos,
-      totalNanos = System.nanoTime() - t0,
-    )
-    (out.toSeq, stats)
+    (out.toSeq, manager.stats.copy(totalNanos = System.nanoTime() - t0))
   }
 
   /** Points per [[GroupChunk]] at most, so an ingest map task's buffers stay

@@ -1,14 +1,20 @@
 package repro.core.golemm
 
+import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 import repro.core.Types.SegmentRecord
 import repro.core.model.ModelType
 
-/** Dynamic splitting and merging of a group during ingestion (paper
-  * Section IV-D, Figures 9, Algorithm 2).
+/** GOLEMM for one group: gaps (paper Figure 5) and dynamic splitting and
+  * merging (Section IV-D, Figure 9, Algorithm 2).
   *
-  * The manager routes each tick of the full group to one [[GroupCompressor]]
-  * per current sub-group. Two heuristics bound the overhead:
+  * The group's members are partitioned into sub-groups, each fitting its own
+  * run of ticks with a [[SegmentGenerator]]. A sub-group's run ends whenever
+  * its set of present members changes (a value of `Float.NaN` marks ⊥: the
+  * series is in a gap at that tick) or the ticks stop being contiguous; the
+  * next run's `Gaps` bitmask names every group member it does not represent,
+  * so each emitted segment covers a static set of series. Two heuristics
+  * bound the overhead of re-partitioning:
   *
   *  - *Split*: when a freshly emitted segment's compression ratio falls below
   *    `1/splitFraction` of the running average and data points are buffered,
@@ -19,6 +25,9 @@ import repro.core.model.ModelType
   *    the tick, comparing ONE representative series per sub-group (the rest
   *    are correlated with it by construction); a failed attempt doubles the
   *    number of segments required before the next one.
+  *
+  * The manager also counts the points it consumes and the segments it
+  * returns for [[stats]].
   */
 final class SplitManager(
     gid: Int,
@@ -26,21 +35,84 @@ final class SplitManager(
     si: Int,
     cfg: GolemmConfig,
 ) {
+  require(nMembers <= 64, s"group of $nMembers series exceeds the 64-bit gap bitmask")
 
-  /** Counters exposed for the evaluation's overhead measurements. */
-  final class Stats {
-    var splits: Int           = 0
-    var merges: Int           = 0
-    var mergeAttempts: Int    = 0
-    var splitMergeNanos: Long = 0
+  // Every member's bit; the JVM takes shift distances mod 64, so 64 members
+  // need the all-ones mask spelled out.
+  private val allMembers = if (nMembers == 64) -1L else (1L << nMembers) - 1
+
+  private var points, segments, paramBytes = 0L
+  private val perMid                        = mutable.HashMap.empty[Int, Long]
+  private var splits, merges, mergeAttempts = 0
+  private var splitMergeNanos               = 0L
+
+  /** The counters so far; `totalNanos` is left to the caller. */
+  def stats: Compressor.GroupStats =
+    Compressor.GroupStats(gid, points, segments, paramBytes, perMid.toMap, splits, merges,
+                          mergeAttempts, splitMergeNanos, totalNanos = 0L)
+
+  /** A sub-group: its `members` and, during a run, the `present` ones and
+    * the run's generator (null between runs). Both member arrays hold
+    * sorted group positions.
+    */
+  private final class Sub(val members: Array[Int]) {
+    var present: Array[Int]   = Array.emptyIntArray
+    var gen: SegmentGenerator = _
+    private var lastTs        = Long.MinValue
+
+    def buffered: Int = if (gen == null) 0 else gen.buffered
+
+    /** Consume the full group's tick. When every group member is present the
+      * generator buffers `values` itself; otherwise it gets one compacted copy.
+      */
+    def consume(ts: Long, values: Array[Float]): Seq[SegmentRecord] = {
+      // One pass: count the present members and check they are `present`.
+      var nPresent = 0
+      var same     = gen != null
+      var i = 0
+      while (i < members.length) {
+        if (!values(members(i)).isNaN) {
+          if (same && (nPresent == present.length || present(nPresent) != members(i))) same = false
+          nPresent += 1
+        }
+        i += 1
+      }
+      points += nPresent
+      // Every member gapped: close the run; the next segment starts later.
+      if (nPresent == 0) return close()
+
+      var closed: Seq[SegmentRecord] = Nil
+      if (!same || nPresent != present.length || ts != lastTs + si) {
+        // The present set changed or the ticks are not contiguous: new run.
+        closed = close()
+        present = members.filter(m => !values(m).isNaN)
+        gen = new SegmentGenerator(gid, nPresent, allMembers & ~present.foldLeft(0L)(_ | 1L << _), si, cfg)
+      }
+      val compact =
+        if (nPresent == nMembers) values
+        else {
+          val c = new Array[Float](nPresent)
+          var j = 0
+          while (j < nPresent) { c(j) = values(present(j)); j += 1 }
+          c
+        }
+      val emitted = gen.append(ts, compact)
+      lastTs = ts
+      if (closed.isEmpty) emitted else if (emitted.isEmpty) closed else closed ++ emitted
+    }
+
+    /** Flush and close the current run (end of stream or restructuring). */
+    def close(): Seq[SegmentRecord] =
+      if (gen == null) Nil
+      else {
+        val segs = gen.flush()
+        gen = null
+        present = Array.emptyIntArray
+        segs
+      }
   }
-  val stats = new Stats
 
-  private final case class Sub(memberIdx: Array[Int], comp: GroupCompressor)
-
-  private val subs = ArrayBuffer(
-    Sub(Array.range(0, nMembers), new GroupCompressor(gid, Array.range(0, nMembers), nMembers, si, cfg))
-  )
+  private val subs = ArrayBuffer(new Sub(Array.range(0, nMembers)))
 
   // Running average of segment compression (points per byte) for the split
   // trigger, and the doubling merge backoff.
@@ -52,14 +124,20 @@ final class SplitManager(
   /** Current number of sub-groups (1 = no active split). */
   def subGroupCount: Int = subs.length
 
-  // Every member's bit; the JVM takes shift distances mod 64, so 64 members
-  // need the all-ones mask spelled out.
-  private val allMembers = if (nMembers == 64) -1L else (1L << nMembers) - 1
-
   private def ratioOf(seg: SegmentRecord): Double = {
     val present = java.lang.Long.bitCount(~seg.gaps & allMembers)
     val points  = seg.length.toLong * math.max(present, 1)
     points.toDouble / (seg.params.length + SegmentGenerator.MetadataBytes)
+  }
+
+  // Count the segments handed to the caller.
+  private def counted(segs: Seq[SegmentRecord]): Seq[SegmentRecord] = {
+    segs.foreach { s =>
+      segments += 1
+      paramBytes += s.params.length
+      perMid(s.mid) = perMid.getOrElse(s.mid, 0L) + 1
+    }
+    segs
   }
 
   /** Consume the full group's values at tick `ts` (NaN = gap). A sub-group
@@ -73,15 +151,13 @@ final class SplitManager(
     var k = 0
     while (k < subs.length) {
       val sub  = subs(k)
-      // Member lists are sorted, so a full one is the identity.
-      val vals = if (sub.memberIdx.length == nMembers) values else sub.memberIdx.map(values)
-      val segs = sub.comp.consume(ts, vals)
+      val segs = sub.consume(ts, values)
       if (segs.nonEmpty) {
         if (out == null) out = ArrayBuffer.empty
         out ++= segs
         segmentsSinceAttempt += segs.length
         segs.foreach { s => ratioSum += ratioOf(s); ratioCount += 1 }
-        if (cfg.dynamicSplitting && sub.memberIdx.length > 1 && shouldSplit(sub, segs)) {
+        if (cfg.dynamicSplitting && sub.members.length > 1 && shouldSplit(sub, segs)) {
           if (toSplit == null) toSplit = ArrayBuffer.empty
           toSplit += sub
         }
@@ -91,7 +167,7 @@ final class SplitManager(
     if (toSplit != null) {
       val t0 = System.nanoTime()
       toSplit.foreach(sub => out ++= split(sub))
-      stats.splitMergeNanos += System.nanoTime() - t0
+      splitMergeNanos += System.nanoTime() - t0
     }
     if (cfg.dynamicSplitting && subs.length > 1 && segmentsSinceAttempt >= requiredSegments) {
       val t0 = System.nanoTime()
@@ -100,20 +176,17 @@ final class SplitManager(
         if (out == null) out = ArrayBuffer.empty
         out ++= merged
       }
-      stats.splitMergeNanos += System.nanoTime() - t0
+      splitMergeNanos += System.nanoTime() - t0
     }
-    if (out == null) Nil else out.toSeq
+    if (out == null) Nil else counted(out.toSeq)
   }
 
   /** Flush every sub-group (end of stream). */
-  def close(): Seq[SegmentRecord] = {
-    subs.flatMap(_.comp.close()).toSeq
-  }
+  def close(): Seq[SegmentRecord] = counted(subs.flatMap(_.close()).toSeq)
 
   private def shouldSplit(sub: Sub, emitted: Seq[SegmentRecord]): Boolean = {
     val avg = if (ratioCount == 0) return false else ratioSum / ratioCount
-    val buffered = sub.comp.currentGenerator.exists(_.buffered > 0)
-    buffered && emitted.exists(s => ratioOf(s) < avg / cfg.splitFraction)
+    sub.buffered > 0 && emitted.exists(s => ratioOf(s) < avg / cfg.splitFraction)
   }
 
   // Values v1, v2 are 2ε-compatible if a single model value could represent
@@ -134,38 +207,29 @@ final class SplitManager(
   // Algorithm 2: partition the sub-group's members by pairwise closeness of
   // their buffered points; gapped members stay grouped together.
   private def split(sub: Sub): Seq[SegmentRecord] = {
-    val gen = sub.comp.currentGenerator match {
-      case Some(g) if g.buffered > 0 => g
-      case _                         => return Nil
-    }
-    val activePos = sub.comp.activePositions // positions into sub.memberIdx
-    val bufferedBy = activePos.zipWithIndex.map { case (pos, ai) =>
-      sub.memberIdx(pos) -> gen.bufferedValues(ai)
-    }.toMap
-    val gapped    = sub.memberIdx.filterNot(bufferedBy.contains)
+    if (sub.buffered == 0) return Nil
+    val bufferedBy = sub.present.indices.map(i => sub.present(i) -> sub.gen.bufferedValues(i)).toMap
+    val gapped     = sub.members.filterNot(bufferedBy.contains)
 
-    val remaining = ArrayBuffer.from(bufferedBy.keys.toSeq.sorted)
+    val remaining = ArrayBuffer.from(sub.present)
     val parts     = ArrayBuffer.empty[Array[Int]]
     while (remaining.nonEmpty) {
       val head = remaining.head
       val part = remaining.filter(m => m == head || withinDoubleBound(bufferedBy(head), bufferedBy(m)))
-      parts += part.toArray.sorted
+      parts += part.toArray
       remaining --= part
     }
-    if (gapped.nonEmpty) parts += gapped.sorted
+    if (gapped.nonEmpty) parts += gapped
 
     if (parts.length <= 1) Nil
     else {
-      val out = ArrayBuffer.empty[SegmentRecord]
-      out ++= sub.comp.close()
+      val closed = sub.close()
       subs -= sub
-      parts.foreach { idx =>
-        subs += Sub(idx, new GroupCompressor(gid, idx, nMembers, si, cfg))
-      }
-      stats.splits += parts.length - 1
+      parts.foreach(idx => subs += new Sub(idx))
+      splits += parts.length - 1
       requiredSegments = 1
       segmentsSinceAttempt = 0
-      out.toSeq
+      closed
     }
   }
 
@@ -173,16 +237,10 @@ final class SplitManager(
   // their recent buffered points (one representative per sub-group suffices —
   // the members of a sub-group are correlated, else it would have split).
   private def tryMerge(): Seq[SegmentRecord] = {
-    stats.mergeAttempts += 1
+    mergeAttempts += 1
     segmentsSinceAttempt = 0
 
-    def repValues(sub: Sub): Option[IndexedSeq[Float]] =
-      sub.comp.currentGenerator.flatMap { gen =>
-        if (gen.buffered == 0) None
-        else Some(gen.bufferedValues(0))
-      }
-
-    val reps = subs.map(repValues)
+    val reps = subs.map(sub => if (sub.buffered == 0) None else Some(sub.gen.bufferedValues(0)))
     // Greedy clique merging over sub-groups, mirroring Algorithm 2.
     val groups    = ArrayBuffer.empty[ArrayBuffer[Int]]
     val remaining = ArrayBuffer.from(subs.indices)
@@ -209,10 +267,10 @@ final class SplitManager(
       groups.foreach { g =>
         if (g.length == 1) newSubs += subs(g.head)
         else {
-          val members = g.toArray.flatMap(j => subs(j).memberIdx).sorted
-          g.foreach(j => out ++= subs(j).comp.close())
-          newSubs += Sub(members, new GroupCompressor(gid, members, nMembers, si, cfg))
-          stats.merges += g.length - 1
+          val members = g.toArray.flatMap(j => subs(j).members).sorted
+          g.foreach(j => out ++= subs(j).close())
+          newSubs += new Sub(members)
+          merges += g.length - 1
         }
       }
       subs.clear()

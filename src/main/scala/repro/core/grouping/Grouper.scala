@@ -12,12 +12,7 @@ object Grouper {
     * by their smallest tid) plus the wall-clock the grouping took — the
     * evaluation reports this cost explicitly.
     */
-  final case class Grouping(groups: IndexedSeq[Group], nanos: Long) {
-    def gidOf: Map[Int, Int] = groups.flatMap(g => g.tids.map(_ -> g.gid)).toMap
-    def byGid: Map[Int, Group] = groups.map(g => g.gid -> g).toMap
-    def averageSize: Double =
-      if (groups.isEmpty) 0.0 else groups.map(_.tids.size).sum.toDouble / groups.length
-  }
+  final case class Grouping(groups: IndexedSeq[Group], nanos: Long)
 
   /** Group `series` using the clauses in order (Algorithm 1): start with one
     * group per series; for each clause, merge pairs of groups whose union is
@@ -32,7 +27,7 @@ object Grouper {
       clauses: Seq[Correlation],
   ): Grouping = {
     val t0 = System.nanoTime()
-    var groups: ArrayBuffer[ArrayBuffer[TimeSeriesMeta]] =
+    val groups: ArrayBuffer[ArrayBuffer[TimeSeriesMeta]] =
       ArrayBuffer.from(series.map(ts => ArrayBuffer(ts)))
 
     clauses.foreach { clause =>

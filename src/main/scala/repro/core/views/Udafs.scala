@@ -59,7 +59,6 @@ object Udafs {
     else
       SeriesAgg(a.count, a.sum * scaling, a.max * scaling, a.min * scaling)
 
-  private implicit val segEnc: Encoder[Seg]   = Encoders.product[Seg]
   private implicit val aggEnc: Encoder[SeriesAgg] = Encoders.product[SeriesAgg]
 
   /** Shared reduction over [[SeriesAgg]]; `finish` selects the statistic. */

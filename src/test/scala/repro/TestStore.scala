@@ -1,10 +1,9 @@
 package repro
 
-import java.nio.file.Files
-
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
+import repro.bench.Stores
 import repro.core.{Catalog, ModelarDB}
 import repro.core.golemm.GolemmConfig
 import repro.core.grouping.Correlation
@@ -22,9 +21,6 @@ object TestStore {
       dataset: TimeSeriesGen.Dataset,
   )
 
-  def tmpDir(prefix: String): String =
-    Files.createTempDirectory(prefix).toFile.getAbsolutePath
-
   /** Ingest `dataset` with the given clauses and GOLEMM config. */
   def build(
       spark: SparkSession,
@@ -32,7 +28,7 @@ object TestStore {
       clauses: Seq[Correlation],
       golemm: GolemmConfig = GolemmConfig(epsilonPct = 0.0),
   ): Built = {
-    val cfg   = ModelarDB.Config(storePath = tmpDir("mdb-store"), golemm = golemm)
+    val cfg   = ModelarDB.Config(storePath = Stores.tmpDir("mdb-store"), golemm = golemm)
     val setup = ModelarDB.setup(spark, cfg, dataset.series, dataset.dims, clauses)
     val stats = ModelarDB.ingest(spark, cfg, setup, dataset.points)
     Built(cfg, setup.catalog, stats, dataset)

@@ -11,7 +11,7 @@ import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-import repro.{SparkSpec, TestStore}
+import repro.SparkSpec
 import repro.bench.Stores
 import repro.data.TimeSeriesGen
 
@@ -48,7 +48,7 @@ class CassandraSimSpec extends SparkSpec {
   private lazy val ds = TimeSeriesGen.epLike(spark, sf = 0.0005, gapProb = 0.01)
 
   test("write + read roundtrip preserves every point") {
-    val path = TestStore.tmpDir("cas")
+    val path = Stores.tmpDir("cas")
     val bytes = CassandraSim.write(ds.points, path)
     assert(bytes > 0 && bytes == CassandraSim.storeBytes(path))
     val back = CassandraSim.read(spark, path)
@@ -59,14 +59,14 @@ class CassandraSimSpec extends SparkSpec {
   }
 
   test("LZ4 row store beats raw CSV but loses to columnar encodings") {
-    val path  = TestStore.tmpDir("cas2")
+    val path  = Stores.tmpDir("cas2")
     val bytes = CassandraSim.write(ds.points, path)
     val rawBytes = ds.pointCount * 16
     assert(bytes < rawBytes, "LZ4 must compress the row store somewhat")
   }
 
   test("partition-key pruning by tid (one file per partition)") {
-    val path = TestStore.tmpDir("cas3")
+    val path = Stores.tmpDir("cas3")
     CassandraSim.write(ds.points, path)
     assert(CassandraSim.listFiles(path).length == ds.series.length)
     val one = CassandraSim.read(spark, path, tids = Some(Seq(3)))
@@ -92,7 +92,7 @@ class InfluxSimSpec extends SparkSpec {
   }
 
   test("write + read roundtrip over Spark") {
-    val path = TestStore.tmpDir("tsm")
+    val path = Stores.tmpDir("tsm")
     val bytes = InfluxSim.write(ds.points, path)
     assert(bytes > 0)
     assert(InfluxSim.listFiles(path).length == ds.series.length)
@@ -104,7 +104,7 @@ class InfluxSimSpec extends SparkSpec {
   }
 
   test("tid pruning reads only the named series' files") {
-    val path = TestStore.tmpDir("tsm2")
+    val path = Stores.tmpDir("tsm2")
     InfluxSim.write(ds.points, path)
     val two = InfluxSim.read(spark, path, tids = Some(Seq(1, 5)))
     assert(two.select("tid").distinct().collect().map(_.getInt(0)).sorted.toSeq == Seq(1, 5))
@@ -124,7 +124,7 @@ class FormatBaselinesSpec extends SparkSpec {
   private lazy val ds = TimeSeriesGen.epLike(spark, sf = 0.0005, gapProb = 0.01)
 
   test("parquet roundtrip and size accounting") {
-    val path  = TestStore.tmpDir("pq") + "/data"
+    val path  = Stores.tmpDir("pq") + "/data"
     val bytes = FormatBaselines.Parquet.write(ds.points, path)
     assert(bytes > 0)
     val back = FormatBaselines.Parquet.read(spark, path)
@@ -132,14 +132,14 @@ class FormatBaselinesSpec extends SparkSpec {
   }
 
   test("orc roundtrip") {
-    val path  = TestStore.tmpDir("orc") + "/data"
+    val path  = Stores.tmpDir("orc") + "/data"
     val bytes = FormatBaselines.Orc.write(ds.points, path)
     assert(bytes > 0)
     assert(FormatBaselines.Orc.read(spark, path).count() == ds.pointCount)
   }
 
   test("columnar formats compress below raw size") {
-    val path = TestStore.tmpDir("pq2") + "/data"
+    val path = Stores.tmpDir("pq2") + "/data"
     val bytes = FormatBaselines.Parquet.write(ds.points, path)
     assert(bytes < ds.pointCount * 16)
   }
@@ -171,7 +171,7 @@ class RawStoreSpec extends SparkSpec {
 
   test("Cassandra- and InfluxDB-like files are pinned") {
     val digests = Seq(CassandraSim, InfluxSim).map { store =>
-      val (raw, _) = Stores.buildRaw(spark, ds, flat, store)
+      val (raw, _) = Stores.buildRaw(ds, flat, store)
       assert(raw.bytes == new File(raw.path).listFiles().map(_.length()).sum)
       raw.name -> filesDigest(raw.path)
     }
@@ -186,7 +186,7 @@ class RawStoreSpec extends SparkSpec {
     assert(columns.length == 3 + flat.dimColumns.length)
     val expected = sortedRows(input, columns)
     Seq(FormatBaselines.Parquet, FormatBaselines.Orc).foreach { store =>
-      val (raw, _) = Stores.buildRaw(spark, ds, flat, store)
+      val (raw, _) = Stores.buildRaw(ds, flat, store)
       assert(sortedRows(raw.points(spark), columns) == expected, raw.name)
     }
   }

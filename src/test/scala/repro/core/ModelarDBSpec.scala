@@ -5,6 +5,7 @@ import java.nio.file.Files
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestStore}
+import repro.bench.Stores
 import repro.core.Types.SegmentRecord
 import repro.core.golemm.GolemmConfig
 import repro.core.grouping.{Correlation, ScalingRule}
@@ -19,7 +20,7 @@ class ModelarDBSpec extends SparkSpec {
 
   test("setup groups EP-like series into (entity, category) clusters via GB primitives") {
     val ds = TimeSeriesGen.epLike(spark, sf = 0.001)
-    val cfg = ModelarDB.Config(storePath = TestStore.tmpDir("s"))
+    val cfg = ModelarDB.Config(storePath = Stores.tmpDir("s"))
     val setup = ModelarDB.setup(spark, cfg, ds.series, ds.dims,
       Seq(Correlation.And(Seq(
         Correlation.Lca("Production", 0),
@@ -32,7 +33,7 @@ class ModelarDBSpec extends SparkSpec {
 
   test("auto grouping discovers the same clusters on EP-like data") {
     val ds = TimeSeriesGen.epLike(spark, sf = 0.001)
-    val cfg = ModelarDB.Config(storePath = TestStore.tmpDir("s"))
+    val cfg = ModelarDB.Config(storePath = Stores.tmpDir("s"))
     val setup = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Seq(Correlation.Auto()))
     // auto distance (1/2)/2 = 0.25 merges series sharing entity AND category
     val expect = ds.specs.groupBy(_.cluster).values.map(_.map(_.tid).toSet).toSet
@@ -41,7 +42,7 @@ class ModelarDBSpec extends SparkSpec {
 
   test("every group is assigned to exactly one partition") {
     val ds = TimeSeriesGen.hdLike(spark, sf = 0.001)
-    val cfg = ModelarDB.Config(storePath = TestStore.tmpDir("s"), numPartitions = 4)
+    val cfg = ModelarDB.Config(storePath = Stores.tmpDir("s"), numPartitions = 4)
     val setup = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Seq(Correlation.Auto()))
     assert(setup.numPartitions == 4)
     assert(setup.partitionOf.keySet == setup.catalog.groups.map(_.gid).toSet)
@@ -50,7 +51,7 @@ class ModelarDBSpec extends SparkSpec {
 
   test("ingest writes one file per non-empty planned partition, holding exactly its gids") {
     val ds    = TimeSeriesGen.epLike(spark, sf = 0.001, gapProb = 0.0, seed = 98)
-    val cfg   = ModelarDB.Config(storePath = TestStore.tmpDir("by-pid"), numPartitions = 4)
+    val cfg   = ModelarDB.Config(storePath = Stores.tmpDir("by-pid"), numPartitions = 4)
     val setup = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Seq(Correlation.Auto()))
     assert(setup.catalog.groups.length >= 4)
     ModelarDB.ingest(spark, cfg, setup, ds.points)
@@ -64,7 +65,7 @@ class ModelarDBSpec extends SparkSpec {
 
   test("ingest rejects a duplicate (tid, ts) point and leaves the store empty") {
     val ds    = TimeSeriesGen.epLike(spark, sf = 0.001, gapProb = 0.0, seed = 98)
-    val cfg   = ModelarDB.Config(storePath = TestStore.tmpDir("dup"), numPartitions = 4)
+    val cfg   = ModelarDB.Config(storePath = Stores.tmpDir("dup"), numPartitions = 4)
     val setup = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Seq(Correlation.Auto()))
     val dup   = ds.points.orderBy("tid", "ts").limit(1).collect().head
     val tid   = dup.getAs[Int]("tid")
@@ -78,7 +79,7 @@ class ModelarDBSpec extends SparkSpec {
 
   test("ingest rejects a point of a tid that is not in the catalog and leaves the store empty") {
     val ds      = TimeSeriesGen.epLike(spark, sf = 0.001, gapProb = 0.0, seed = 98)
-    val cfg     = ModelarDB.Config(storePath = TestStore.tmpDir("unknown"), numPartitions = 4)
+    val cfg     = ModelarDB.Config(storePath = Stores.tmpDir("unknown"), numPartitions = 4)
     val setup   = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Seq(Correlation.Auto()))
     val unknown = ds.series.map(_.tid).max + 1
     val e = intercept[org.apache.spark.SparkException](
@@ -90,10 +91,10 @@ class ModelarDBSpec extends SparkSpec {
 
   test("ingest stores the same segments whatever the input order and partitioning") {
     val ds    = TimeSeriesGen.epLike(spark, sf = 0.002, gapProb = 0.01, seed = 99)
-    val setup = ModelarDB.setup(spark, ModelarDB.Config(storePath = TestStore.tmpDir("s")),
+    val setup = ModelarDB.setup(spark, ModelarDB.Config(storePath = Stores.tmpDir("s")),
                                 ds.series, ds.dims, Seq(Correlation.Auto()))
     def store(points: DataFrame): Seq[SegmentRecord] = {
-      val cfg = ModelarDB.Config(storePath = TestStore.tmpDir("order"),
+      val cfg = ModelarDB.Config(storePath = Stores.tmpDir("order"),
                                  golemm = GolemmConfig(epsilonPct = 10.0))
       ModelarDB.ingest(spark, cfg, setup, points)
       IngestPinSpec.segments(cfg.storePath)
@@ -172,7 +173,7 @@ class ModelarDBSpec extends SparkSpec {
   test("MDB v1 baseline (PMC-MR, no groups) ingests and reconstructs within bound") {
     val eps = 10.0
     val ds = TimeSeriesGen.hdLike(spark, sf = 0.001, gapProb = 0.0, seed = 95)
-    val cfg = ModelarDB.Config(storePath = TestStore.tmpDir("mdbv1"),
+    val cfg = ModelarDB.Config(storePath = Stores.tmpDir("mdbv1"),
       golemm = GolemmConfig(modelTypes = ModelType.mdbV1List, epsilonPct = eps,
                             dynamicSplitting = false))
     val setup = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Nil)
@@ -188,7 +189,7 @@ class ModelarDBSpec extends SparkSpec {
 
   test("scaling rules resolved during setup") {
     val ds = TimeSeriesGen.epLike(spark, sf = 0.001)
-    val cfg = ModelarDB.Config(storePath = TestStore.tmpDir("s"))
+    val cfg = ModelarDB.Config(storePath = Stores.tmpDir("s"))
     val setup = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Nil,
       scalingRules = Seq(ScalingRule.ForMember("Measure", 1, "power", 4.0)))
     val powered = setup.catalog.series.filter(_.dims("Measure")(0) == "power")
@@ -198,7 +199,7 @@ class ModelarDBSpec extends SparkSpec {
 
   test("multi-batch ingest (streaming-style micro-batches) appends consistently") {
     val ds  = TimeSeriesGen.hdLike(spark, sf = 0.001, gapProb = 0.0, seed = 96)
-    val cfg = ModelarDB.Config(storePath = TestStore.tmpDir("stream"),
+    val cfg = ModelarDB.Config(storePath = Stores.tmpDir("stream"),
                                golemm = GolemmConfig(epsilonPct = 0.0))
     val setup = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Seq(Correlation.Auto()))
     val si  = ds.series.head.si

@@ -152,4 +152,100 @@ class SplitMergeSpec extends AnyFunSuite {
     assert(at63._1 >= 1)
     assert(run(64) == at63)
   }
+
+  // Gap runs (paper Figure 5), driven with dynamic splitting off.
+
+  private def gapCfg = GolemmConfig(epsilonPct = 0.0, lengthBound = 50, dynamicSplitting = false)
+
+  test("no gaps: one run, gaps bitmask 0") {
+    val m = new SplitManager(1, 2, 100, gapCfg)
+    val segs = (0 until 20).flatMap(i => m.consume(i * 100L, Array(5f, 5f))) ++ m.close()
+    assert(segs.nonEmpty && segs.forall(_.gaps == 0L))
+    assert(segs.map(_.length).sum == 20)
+  }
+
+  test("a gap in one series starts a new segment with its bit set (Figure 5)") {
+    val m = new SplitManager(1, 3, 100, gapCfg)
+    val out = collection.mutable.ArrayBuffer.empty[SegmentRecord]
+    (0 until 10).foreach(i => out ++= m.consume(i * 100L, Array(1f, 1f, 1f)))
+    (10 until 20).foreach(i => out ++= m.consume(i * 100L, Array(1f, Float.NaN, 1f)))
+    (20 until 30).foreach(i => out ++= m.consume(i * 100L, Array(1f, 1f, 1f)))
+    out ++= m.close()
+    val masks = out.map(_.gaps).distinct.sorted
+    assert(masks == Seq(0L, 2L)) // bit 1 set while series 1 gapped
+    // ticks 10-19 must only be covered by mask-2 segments
+    val gapSegs = out.filter(_.gaps == 2L)
+    assert(gapSegs.map(_.length).sum == 10)
+    assert(gapSegs.map(_.startTime).min == 1000L && gapSegs.map(_.endTime).max == 1900L)
+  }
+
+  test("all series gapped: no segment spans the hole") {
+    val m = new SplitManager(1, 1, 100, gapCfg)
+    val out = collection.mutable.ArrayBuffer.empty[SegmentRecord]
+    (0 until 5).foreach(i => out ++= m.consume(i * 100L, Array(2f)))
+    (5 until 8).foreach(i => out ++= m.consume(i * 100L, Array(Float.NaN)))
+    (8 until 12).foreach(i => out ++= m.consume(i * 100L, Array(2f)))
+    out ++= m.close()
+    assert(out.length == 2)
+    assert(out(0).startTime == 0L && out(0).endTime == 400L)
+    assert(out(1).startTime == 800L && out(1).endTime == 1100L)
+  }
+
+  test("non-contiguous timestamps force a new run") {
+    val m = new SplitManager(1, 1, 100, gapCfg)
+    val out = collection.mutable.ArrayBuffer.empty[SegmentRecord]
+    out ++= m.consume(0L, Array(3f))
+    out ++= m.consume(100L, Array(3f))
+    out ++= m.consume(500L, Array(3f)) // hole: rows missing entirely
+    out ++= m.close()
+    assert(out.map(s => (s.startTime, s.endTime)) == Seq((0L, 100L), (500L, 500L)))
+  }
+
+  test("segment values reconstruct only the present series") {
+    val m = new SplitManager(1, 2, 100, gapCfg)
+    val out = collection.mutable.ArrayBuffer.empty[SegmentRecord]
+    (0 until 6).foreach(i => out ++= m.consume(i * 100L, Array(8f, Float.NaN)))
+    out ++= m.close()
+    val s = out.head
+    assert(s.gaps == 2L)
+    val present = java.lang.Long.bitCount(~s.gaps & 0x3L)
+    val dec     = ModelType.byMid(s.mid).decode(s.params, present, s.length)
+    assert(dec.forall(_ == 8f))
+  }
+
+  test("group larger than 64 is rejected") {
+    intercept[IllegalArgumentException] {
+      new SplitManager(1, 65, 100, gapCfg)
+    }
+  }
+
+  test("a gap inside a split-off sub-group flags every member it does not hold") {
+    // Member 2 diverges until the group splits into {0, 1} and {2}; then
+    // member 1 is in a gap for 10 ticks, so the {0, 1} sub-group emits
+    // segments of member 0 alone.
+    val m    = new SplitManager(1, 3, 100, cfg(eps = 0.0))
+    val rng  = new scala.util.Random(19)
+    val sent = collection.mutable.Map.empty[(Int, Long), Float]
+    val out  = collection.mutable.ArrayBuffer.empty[(Boolean, SegmentRecord)] // (after the split, segment)
+    def feed(ts: Long, v: Array[Float]): Unit = {
+      val afterSplit = m.stats.splits > 0
+      v.indices.filterNot(k => v(k).isNaN).foreach(k => sent((k, ts)) = v(k))
+      out ++= m.consume(ts, v).map(afterSplit -> _)
+    }
+    var i = 0
+    while (i < 100) { feed(i * 100L, Array(20f, 20f, 20f)); i += 1 }
+    while (m.stats.splits == 0 && i < 2000) {
+      feed(i * 100L, Array(20f, 20f, q(8000 + 400 * rng.nextGaussian()))); i += 1
+    }
+    assert(m.stats.splits >= 1, "member 2's divergence never split the group")
+    (0 until 60).foreach { k =>
+      val ts = (i + k) * 100L
+      val v2 = q(8000 + 400 * rng.nextGaussian())
+      feed(ts, if (k >= 20 && k < 30) Array(20f, Float.NaN, v2) else Array(20f, 20f, v2))
+    }
+    out ++= m.close().map(true -> _)
+    val masks = out.collect { case (true, s) => s.gaps }.toSet
+    assert(masks == Set(3L, 4L, 6L), s"masks after the split: $masks")
+    assert(reconstruct(out.map(_._2).toSeq, 3) == sent)
+  }
 }

@@ -17,7 +17,7 @@ class GrouperSpec extends AnyFunSuite {
     val g = Grouper.group(series, dims, Nil)
     assert(g.groups.length == 5)
     assert(g.groups.forall(_.tids.length == 1))
-    assert(g.averageSize == 1.0)
+    assert(g.groups.map(_.tids.length).sum.toDouble / g.groups.length == 1.0)
   }
 
   test("Lca clause merges series sharing a park (Algorithm 1 fixpoint)") {
@@ -25,7 +25,7 @@ class GrouperSpec extends AnyFunSuite {
                      ts(4, "p1", "d"), ts(5, "p2", "e"))
     val g = Grouper.group(series, dims, Seq(Correlation.Lca("Location", 1)))
     assert(g.groups.length == 2)
-    assert(g.byGid.values.map(_.tids.toSet).toSet == Set(Set(1, 2, 4), Set(3, 5)))
+    assert(g.groups.map(_.tids.toSet).toSet == Set(Set(1, 2, 4), Set(3, 5)))
   }
 
   test("gids are 1-based and ordered by smallest tid") {
@@ -33,7 +33,7 @@ class GrouperSpec extends AnyFunSuite {
     val g = Grouper.group(series, dims, Seq(Correlation.Lca("Location", 1)))
     assert(g.groups.map(_.gid) == IndexedSeq(1, 2))
     assert(g.groups.head.tids == IndexedSeq(1, 2)) // group containing tid 1 first
-    assert(g.gidOf(3) == 2)
+    assert(g.groups.filter(_.tids.contains(3)).map(_.gid) == IndexedSeq(2))
   }
 
   test("clauses apply in order (priority)") {
@@ -47,7 +47,7 @@ class GrouperSpec extends AnyFunSuite {
     // measures are {a, b} so no further merge with 3 under Measure equality.
     val g = Grouper.group(series, bothDims,
       Seq(Correlation.Lca("Location", 1), Correlation.Lca("Measure", 0)))
-    assert(g.byGid.values.map(_.tids.toSet).toSet == Set(Set(1, 2), Set(3)))
+    assert(g.groups.map(_.tids.toSet).toSet == Set(Set(1, 2), Set(3)))
   }
 
   test("correlated must hold for ALL series of both groups") {
@@ -73,6 +73,6 @@ class GrouperSpec extends AnyFunSuite {
   test("Sources clause groups the named series only") {
     val series = (1 to 4).map(i => ts(i, s"p$i", s"e$i"))
     val g = Grouper.group(series, dims, Seq(Correlation.Sources(Set("s1", "s3"))))
-    assert(g.byGid.values.map(_.tids.toSet).toSet == Set(Set(1, 3), Set(2), Set(4)))
+    assert(g.groups.map(_.tids.toSet).toSet == Set(Set(1, 3), Set(2), Set(4)))
   }
 }

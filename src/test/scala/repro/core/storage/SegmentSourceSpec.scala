@@ -3,12 +3,10 @@ package repro.core.storage
 import java.nio.file.Files
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.bench.Stores
 import repro.core.Types.SegmentRecord
 
 class SegmentSourceSpec extends SparkSpec {
-
-  private def tmpDir(): String =
-    Files.createTempDirectory("sgmt-test").toFile.getAbsolutePath
 
   private def seg(gid: Int, start: Long, end: Long, si: Int = 100): SegmentRecord =
     SegmentRecord(gid, start, end, si, 1,
@@ -20,7 +18,7 @@ class SegmentSourceSpec extends SparkSpec {
     }
 
   test("bulk writeFile + DataFrame read roundtrip") {
-    val dir = tmpDir()
+    val dir = Stores.tmpDir("sgmt-test")
     SegmentSource.writeFile(dir, segments)
     val df = spark.read.format(SegmentSource.FormatName).load(dir)
     assert(df.count() == 100)
@@ -30,7 +28,7 @@ class SegmentSourceSpec extends SparkSpec {
   }
 
   test("DataSourceV2 write path appends files readable back") {
-    val dir = tmpDir()
+    val dir = Stores.tmpDir("sgmt-test")
     val df  = spark.createDataFrame(
       spark.sparkContext.parallelize(segments.map(s =>
         org.apache.spark.sql.Row(s.gid, s.startTime, s.endTime, s.si, s.mid, s.params, s.gaps)), 4),
@@ -44,7 +42,7 @@ class SegmentSourceSpec extends SparkSpec {
   }
 
   test("a failed DataSourceV2 write leaves no file in the store and no staging") {
-    val dir     = tmpDir()
+    val dir     = Stores.tmpDir("sgmt-test")
     val staging = new java.io.File(dir, "_staging")
     val staged  = () => Option(staging.listFiles()).toSeq.flatten
       .flatMap(d => Option(d.listFiles()).toSeq.flatten).length
@@ -68,7 +66,7 @@ class SegmentSourceSpec extends SparkSpec {
   }
 
   test("gid equality filter returns exactly that group") {
-    val dir = tmpDir()
+    val dir = Stores.tmpDir("sgmt-test")
     SegmentSource.writeFile(dir, segments)
     val df = spark.read.format(SegmentSource.FormatName).load(dir)
       .filter(col("gid") === 3)
@@ -77,7 +75,7 @@ class SegmentSourceSpec extends SparkSpec {
   }
 
   test("gid IN and end_time range filters compose") {
-    val dir = tmpDir()
+    val dir = Stores.tmpDir("sgmt-test")
     SegmentSource.writeFile(dir, segments)
     val df = spark.read.format(SegmentSource.FormatName).load(dir)
       .filter(col("gid").isin(1, 4) && col("end_time") >= 50000L && col("end_time") <= 80000L)
@@ -87,7 +85,7 @@ class SegmentSourceSpec extends SparkSpec {
   }
 
   test("file skipping: disjoint gid files are pruned by the header") {
-    val dir = tmpDir()
+    val dir = Stores.tmpDir("sgmt-test")
     SegmentSource.writeFile(dir, segments.filter(_.gid == 1))
     SegmentSource.writeFile(dir, segments.filter(_.gid == 2))
     val (pushed, used) = SegmentSource.extract(Array(
@@ -99,7 +97,7 @@ class SegmentSourceSpec extends SparkSpec {
   }
 
   test("start_time filters work (recomputed column)") {
-    val dir = tmpDir()
+    val dir = Stores.tmpDir("sgmt-test")
     SegmentSource.writeFile(dir, segments)
     val df = spark.read.format(SegmentSource.FormatName).load(dir)
       .filter(col("start_time") >= 100000L)
@@ -118,7 +116,7 @@ class SegmentSourceSpec extends SparkSpec {
   }
 
   test("many files are read in at most one partition per core, each row once") {
-    val dir = tmpDir()
+    val dir = Stores.tmpDir("sgmt-test")
     segments.grouped(5).foreach(SegmentSource.writeFile(dir, _))
     val cores = spark.sparkContext.defaultParallelism
     assert(SegmentSource.listFiles(dir).length == 20 && cores < 20)
@@ -128,12 +126,12 @@ class SegmentSourceSpec extends SparkSpec {
   }
 
   test("reading a missing directory yields an empty frame") {
-    val df = spark.read.format(SegmentSource.FormatName).load(tmpDir() + "/nope")
+    val df = spark.read.format(SegmentSource.FormatName).load(Stores.tmpDir("sgmt-test") + "/nope")
     assert(df.count() == 0)
   }
 
   test("storeBytes sums the files") {
-    val dir = tmpDir()
+    val dir = Stores.tmpDir("sgmt-test")
     SegmentSource.writeFile(dir, segments.take(10))
     SegmentSource.writeFile(dir, segments.drop(10))
     assert(SegmentSource.storeBytes(dir) ==
