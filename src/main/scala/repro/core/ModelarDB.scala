@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{FloatType, IntegerType, LongType}
 import scala.collection.mutable.ArrayBuffer
 import scala.jdk.CollectionConverters._
 
@@ -47,6 +48,9 @@ object ModelarDB {
       storeBytes: Long,
   )
 
+  /** Built once: deriving a product encoder reflects over the class. */
+  private lazy val SegmentEncoder = Encoders.product[SegmentRecord]
+
   /** Group and partition the series before ingestion begins (Figure 8):
     * apply the correlation clauses (Algorithm 1), resolve scaling rules, and
     * balance groups over partitions by data points per minute.
@@ -73,41 +77,41 @@ object ModelarDB {
 
   /** Ingest a batch of raw data points `(tid, ts, value)` into the store.
     *
-    * Each group's points land in one task (the paper assigns a group to one
-    * worker to avoid shuffling at query time), and planned partition p runs
-    * as task p, so each partition gets its own core and file. The shuffle
-    * moves columnar chunks, not points: each map task appends its points to
-    * per-group buffers and emits one `GroupChunk` per group (more for a group
-    * with over `Compressor.ChunkPoints` points), and the partitions are
-    * sorted by gid only. A task then gathers each group's chunks, aligns
-    * them into ticks and compresses them with GOLEMM, and the segments go
-    * directly to storage (Table I's bulk-loading path) through the store's
-    * DataSourceV2 write: one file per task, visible only once the whole
-    * ingest commits. Points of a tid that is not in the catalog, duplicate
-    * `(tid, ts)` points and a group spanning 2^57 ms or more fail it.
+    * One ingest runs one Spark job of two stages. Each group's points land
+    * in one task (the paper assigns a group to one worker to avoid shuffling
+    * at query time): the shuffle's partitioner is the static plan of
+    * [[setup]], so planned partition p runs as task p, and each partition
+    * gets its own core and file. The shuffle moves columnar chunks, not
+    * points: each map task reads its input rows as they arrive, appends each
+    * point to its group's buffers and emits one `GroupChunk` per group (more
+    * for a group with over `Compressor.ChunkPoints` points), keyed and sorted
+    * by gid. A task then gathers each group's chunks, aligns them into ticks
+    * and compresses them with GOLEMM, and the segments go directly to
+    * storage (Table I's bulk-loading path) through the store's DataSourceV2
+    * write: one file per task, visible only once the whole ingest commits.
+    * A point with a null field, points of a tid that is not in the catalog,
+    * duplicate `(tid, ts)` points and a group spanning 2^57 ms or more fail
+    * it.
     */
   def ingest(spark: SparkSession, cfg: Config, setup: Setup, points: DataFrame): IngestStats = {
     val t0      = System.nanoTime()
     val catalog = setup.catalog
     val golemm  = cfg.golemm
-    val chunker = new Compressor.Chunker(catalog.groups, setup.partitionOf)
+    val chunker = new Compressor.Chunker(catalog.groups)
 
-    implicit val chunkEnc = Encoders.product[GroupChunk]
     val chunks = points
-      .select(col("tid").cast("int"), col("ts").cast("long"), col("value").cast("float"))
-      .as(Encoders.tuple(Encoders.scalaInt, Encoders.scalaLong, Encoders.scalaFloat))
-      .mapPartitions(chunker.chunks)
-      .repartitionById(setup.numPartitions, col("pid"))
-      .sortWithinPartitions("gid")
+      .select(col("tid").cast(IntegerType), col("ts").cast(LongType), col("value").cast(FloatType))
+      .queryExecution.toRdd
+      .mapPartitions(rows => chunker.chunks(rows).map(c => c.gid -> c))
+      .repartitionAndSortWithinPartitions(new GroupPartitioner(setup.partitionOf, setup.numPartitions))
 
     val groupStats = spark.sparkContext.collectionAccumulator[Compressor.GroupStats]("groupStats")
-    implicit val segmentEnc = Encoders.product[SegmentRecord]
     val segments = chunks.mapPartitions { rows =>
       val it = rows.buffered
       Iterator.continually(()).takeWhile(_ => it.hasNext).flatMap { _ =>
-        val gid      = it.head.gid
+        val gid      = it.head._1
         val group    = ArrayBuffer.empty[GroupChunk]
-        while (it.hasNext && it.head.gid == gid) group += it.next()
+        while (it.hasNext && it.head._1 == gid) group += it.next()._2
         val members  = catalog.membersOf(gid)
         val scalings = members.map(t => catalog.byTid(t).scaling).toArray
         val si       = catalog.byTid(members.head).si
@@ -118,7 +122,7 @@ object ModelarDB {
         segs
       }
     }
-    segments.toDF(SegmentSource.Schema.fieldNames.toSeq: _*)
+    spark.createDataset(segments)(SegmentEncoder).toDF(SegmentSource.Schema.fieldNames.toSeq: _*)
       .write.format(SegmentSource.FormatName).mode("append").save(cfg.storePath)
 
     val agg = groupStats.value.asScala.foldLeft(Compressor.GroupStats.zero)(_ merge _)

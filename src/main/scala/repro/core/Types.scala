@@ -12,11 +12,10 @@ object Types {
 
   /** Points of one group from one ingest map task, in columns and in no
     * particular order: point i is `values(i)` at `ts(i)` for the member at
-    * position `pos(i)` among the group's sorted tids. `pid` is the group's
-    * planned partition. This is the row that ingestion shuffles.
+    * position `pos(i)` among the group's sorted tids. This is the record
+    * that ingestion shuffles, keyed by `gid`.
     */
-  final case class GroupChunk(pid: Int, gid: Int, ts: Array[Long], pos: Array[Byte],
-                              values: Array[Float])
+  final case class GroupChunk(gid: Int, ts: Array[Long], pos: Array[Byte], values: Array[Float])
 
   /** Static metadata for one time series (the paper's Time Series table).
     *

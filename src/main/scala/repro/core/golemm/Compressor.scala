@@ -1,6 +1,7 @@
 package repro.core.golemm
 
 import scala.collection.mutable.ArrayBuffer
+import org.apache.spark.sql.catalyst.InternalRow
 import repro.core.Types.{Group, GroupChunk, SegmentRecord}
 
 /** Assembles a group's aligned tick stream and feeds it to
@@ -93,12 +94,11 @@ object Compressor {
   private[core] val ChunkPoints = 1 << 14
 
   /** The map side of ingest's shuffle, built once on the driver: each point
-    * `(tid, ts, value)` is appended to its group's column buffers, found by
-    * binary search in the sorted tids of `groups`. A group's buffers become a
-    * [[GroupChunk]] when they hold [[ChunkPoints]] points, and at the end of
-    * the input. `partitionOf` maps a gid to its planned partition.
+    * is appended to its group's column buffers, found by binary search in
+    * the sorted tids of `groups`. A group's buffers become a [[GroupChunk]]
+    * when they hold [[ChunkPoints]] points, and at the end of the input.
     */
-  final class Chunker(groups: IndexedSeq[Group], partitionOf: Int => Int) extends Serializable {
+  final class Chunker(groups: IndexedSeq[Group]) extends Serializable {
     private val tids: Array[Int] = groups.flatMap(_.tids).toArray.sorted
     /** For `tids(i)`: its group's index in `groups` << 6 | its member position. */
     private val codes: Array[Int] = {
@@ -107,18 +107,28 @@ object Compressor {
       tids.map(code)
     }
     private val gids: Array[Int] = groups.map(_.gid).toArray
-    private val pids: Array[Int] = groups.map(g => partitionOf(g.gid)).toArray
 
-    /** One input partition's chunks. A tid that is in no group is rejected. */
-    def chunks(points: Iterator[(Int, Long, Float)]): Iterator[GroupChunk] = {
+    /** One input partition's chunks, from rows of an int `tid`, a long `ts`
+      * and a float `value`, read as they arrive: Spark may reuse a row
+      * object, so none is kept. A point with a null field, or of a tid that
+      * is in no group, is rejected.
+      */
+    def chunks(points: Iterator[InternalRow]): Iterator[GroupChunk] = {
       val bufs = new Array[ChunkBuffer](gids.length)
-      def emit(slot: Int) = bufs(slot).take(pids(slot), gids(slot))
-      val full = points.flatMap { case (tid, ts, value) =>
-        val i = java.util.Arrays.binarySearch(tids, tid)
+      def emit(slot: Int) = bufs(slot).take(gids(slot))
+      val full = points.flatMap { row =>
+        if (row.anyNull) {
+          val column = if (row.isNullAt(0)) "tid" else if (row.isNullAt(1)) "ts" else "value"
+          throw new IllegalArgumentException(s"a point with a null $column cannot be ingested")
+        }
+        val tid = row.getInt(0)
+        val i   = java.util.Arrays.binarySearch(tids, tid)
         if (i < 0) throw new IllegalArgumentException(s"tid $tid is not a series of this store")
         val slot = codes(i) >>> 6
         if (bufs(slot) == null) bufs(slot) = new ChunkBuffer
-        if (bufs(slot).add(ts, (codes(i) & 63).toByte, value) == ChunkPoints) Some(emit(slot)) else None
+        if (bufs(slot).add(row.getLong(1), (codes(i) & 63).toByte, row.getFloat(2)) == ChunkPoints)
+          Some(emit(slot))
+        else None
       }
       full ++ bufs.indices.iterator.filter(s => bufs(s) != null && bufs(s).n > 0).map(emit)
     }
@@ -145,8 +155,8 @@ object Compressor {
     }
 
     /** The points so far as a chunk; the buffer is then empty. */
-    def take(pid: Int, gid: Int): GroupChunk = {
-      val c = GroupChunk(pid, gid, java.util.Arrays.copyOf(ts, n), java.util.Arrays.copyOf(pos, n),
+    def take(gid: Int): GroupChunk = {
+      val c = GroupChunk(gid, java.util.Arrays.copyOf(ts, n), java.util.Arrays.copyOf(pos, n),
                          java.util.Arrays.copyOf(values, n))
       n = 0
       c
@@ -172,7 +182,7 @@ object Compressor {
       if (p < 0) sys.error(s"tid $tid is not a member of group $gid")
       ts += t; pos += p.toByte; values += v
     }
-    ticksFromChunks(members, Seq(GroupChunk(-1, gid, ts.result(), pos.result(), values.result())), gid)
+    ticksFromChunks(members, Seq(GroupChunk(gid, ts.result(), pos.result(), values.result())), gid)
   }
 
   /** The tick assembler: aligns the points of group `gid`, given as chunks

@@ -44,3 +44,12 @@ object Partitioner {
     loads.max - loads.min
   }
 }
+
+/** The plan of [[Partitioner.partition]] as a Spark partitioner over gid
+  * keys: a group's records go to its planned partition, so planned
+  * partition p is shuffle partition p and runs as task p.
+  */
+final class GroupPartitioner(partitionOf: Map[Int, Int], override val numPartitions: Int)
+    extends org.apache.spark.Partitioner {
+  override def getPartition(key: Any): Int = partitionOf(key.asInstanceOf[Int])
+}

@@ -1,14 +1,19 @@
 package repro.core
 
 import java.nio.file.Files
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.scalatest.concurrent.Eventually
+import org.scalatest.time.SpanSugar._
 import repro.{Oracle, SparkSpec, TestStore}
 import repro.bench.Stores
 import repro.core.Types.SegmentRecord
 import repro.core.golemm.GolemmConfig
-import repro.core.grouping.{Correlation, ScalingRule}
+import repro.core.grouping.{Correlation, GroupPartitioner, ScalingRule}
 import repro.core.model.ModelType
 import repro.core.storage.{SegmentCodec, SegmentSource}
 import repro.data.TimeSeriesGen
@@ -16,7 +21,7 @@ import repro.data.TimeSeriesGen
 /** End-to-end: setup (grouping/partitioning) → ingest → store → query views,
   * exercising the full paper pipeline on the three data set families.
   */
-class ModelarDBSpec extends SparkSpec {
+class ModelarDBSpec extends SparkSpec with Eventually {
 
   test("setup groups EP-like series into (entity, category) clusters via GB primitives") {
     val ds = TimeSeriesGen.epLike(spark, sf = 0.001)
@@ -47,6 +52,62 @@ class ModelarDBSpec extends SparkSpec {
     assert(setup.numPartitions == 4)
     assert(setup.partitionOf.keySet == setup.catalog.groups.map(_.gid).toSet)
     assert(setup.partitionOf.values.forall(p => p >= 0 && p < 4))
+  }
+
+  test("the Spark partitioner sends each gid to its planned partition") {
+    val ds    = TimeSeriesGen.epLike(spark, sf = 0.001)
+    val cfg   = ModelarDB.Config(storePath = Stores.tmpDir("s"), numPartitions = 4)
+    val setup = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Seq(Correlation.Auto()))
+    val p     = new GroupPartitioner(setup.partitionOf, setup.numPartitions)
+    assert(p.numPartitions == setup.numPartitions)
+    setup.catalog.groups.foreach(g => assert(p.getPartition(g.gid) == setup.partitionOf(g.gid)))
+  }
+
+  test("one ingest runs one Spark job") {
+    val ds    = TimeSeriesGen.epLike(spark, sf = 0.001, gapProb = 0.0, seed = 98)
+    val cfg   = ModelarDB.Config(storePath = Stores.tmpDir("jobs"), numPartitions = 4)
+    val setup = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Seq(Correlation.Auto()))
+    // A cached input, as the benchmark's: the generator's own shuffle runs
+    // in the count, not in the ingest.
+    val points = ds.points.cache()
+    points.count()
+    val sc       = spark.sparkContext
+    val groups   = new ConcurrentLinkedQueue[String] // the job group of each job started
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        groups.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).getOrElse(""))
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("ingest", "one ingest")
+      ModelarDB.ingest(spark, cfg, setup, points)
+      // The listener bus delivers events in order: once the marker job's
+      // start arrives, so has every start of the ingest's jobs.
+      sc.setJobGroup("marker", "after the ingest")
+      sc.parallelize(Seq(1), 1).count()
+      eventually(timeout(30.seconds))(assert(groups.contains("marker")))
+      assert(groups.asScala.count(_ == "ingest") == 1)
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+      points.unpersist()
+    }
+  }
+
+  test("ingest rejects a point with a null tid, ts or value and leaves the store empty") {
+    val ds    = TimeSeriesGen.epLike(spark, sf = 0.001, gapProb = 0.0, seed = 98)
+    val setup = ModelarDB.setup(spark, ModelarDB.Config(storePath = Stores.tmpDir("s"), numPartitions = 4),
+                                ds.series, ds.dims, Seq(Correlation.Auto()))
+    val first = ds.points.orderBy("tid", "ts").limit(1).collect().head
+    val isFirst = col("tid") === first.getAs[Int]("tid") && col("ts") === first.getAs[Long]("ts")
+    Seq("tid", "ts", "value").foreach { column =>
+      val cfg = ModelarDB.Config(storePath = Stores.tmpDir("null"), numPartitions = 4)
+      val e = intercept[org.apache.spark.SparkException](ModelarDB.ingest(spark, cfg, setup,
+        ds.points.withColumn(column, when(isFirst, lit(null)).otherwise(col(column)))))
+      assert(e.getMessage.contains(s"a point with a null $column cannot be ingested"), e.getMessage)
+      assert(SegmentSource.listFiles(cfg.storePath).isEmpty)
+      assert(!new java.io.File(cfg.storePath, "_staging").exists())
+    }
   }
 
   test("ingest writes one file per non-empty planned partition, holding exactly its gids") {

@@ -1,7 +1,8 @@
 package repro.core.golemm
 
+import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Types.{Group, GroupChunk, SegmentRecord}
+import repro.core.Types.{Group, GroupChunk}
 import repro.core.model.ModelType
 
 class CompressorSpec extends AnyFunSuite {
@@ -36,15 +37,20 @@ class CompressorSpec extends AnyFunSuite {
       if (m == 2 && gap.contains(t)) Float.NaN else (m * 1000 + t % 97).toFloat
     def points(m: Int, ticks: Seq[Int]) =
       ticks.filterNot(t => value(m, t).isNaN).map(t => (tids(m), t * 100L, value(m, t)))
-    val chunker = new Compressor.Chunker(IndexedSeq(Group(7, tids.toIndexedSeq)), _ => 3)
+    // One row object for every point, as Spark may reuse it.
+    def rows(ps: Seq[(Int, Long, Float)]) = {
+      val row = new GenericInternalRow(3)
+      ps.iterator.map { case (t, ts, v) => row.setInt(0, t); row.setLong(1, ts); row.setFloat(2, v); row }
+    }
+    val chunker = new Compressor.Chunker(IndexedSeq(Group(7, tids.toIndexedSeq)))
     // Two map tasks: one holds all of tid 10 and tid 20's even ticks, the
     // other tid 30 (with a gap) and tid 20's odd ticks, newest first.
     val taskA = points(0, 0 until n) ++ points(1, 0 until n by 2)
     val taskB = points(2, 0 until n) ++ points(1, (1 until n by 2).reverse)
-    val a     = chunker.chunks(taskA.iterator).toVector
-    val b     = chunker.chunks(taskB.iterator).toVector
+    val a     = chunker.chunks(rows(taskA)).toVector
+    val b     = chunker.chunks(rows(taskB)).toVector
     assert(a.map(_.ts.length) == Vector(Compressor.ChunkPoints, taskA.length - Compressor.ChunkPoints))
-    assert((a ++ b).forall(c => c.gid == 7 && c.pid == 3))
+    assert((a ++ b).forall(_.gid == 7))
     val ticks = Compressor.ticksFromChunks(tids, b.reverse ++ a.reverse, 7).toVector
     assert(ticks.map(_._1) == (0 until n).map(_ * 100L))
     def bits(vs: Seq[Float]) = vs.map(java.lang.Float.floatToRawIntBits)
@@ -54,15 +60,15 @@ class CompressorSpec extends AnyFunSuite {
   test("ticksFromChunks rejects a point that two chunks both hold") {
     val e = intercept[IllegalArgumentException] {
       Compressor.ticksFromChunks(Array(5, 6), Seq(
-        GroupChunk(0, 1, Array(0L, 100L), Array[Byte](0, 1), Array(1f, 2f)),
-        GroupChunk(0, 1, Array(100L), Array[Byte](1), Array(3f))), 1).toVector
+        GroupChunk(1, Array(0L, 100L), Array[Byte](0, 1), Array(1f, 2f)),
+        GroupChunk(1, Array(100L), Array[Byte](1), Array(3f))), 1).toVector
     }
     assert(e.getMessage == "duplicate point in group 1: tid 6 at ts 100")
   }
 
   test("ticksFromChunks accepts a span below 2^57 ms and rejects one of 2^57 ms or more") {
-    def chunk(ts: Long*) = GroupChunk(0, 1, ts.toArray, Array.fill(ts.length)(0.toByte),
-                                      Array.fill(ts.length)(1f))
+    def chunk(ts: Long*) = GroupChunk(1, ts.toArray, Array.fill(ts.length)(0.toByte),
+                                   Array.fill(ts.length)(1f))
     val ok = Compressor.ticksFromChunks(Array(5), Seq(chunk(-100L, (1L << 57) - 101)), 1).toVector
     assert(ok.map(_._1) == Vector(-100L, (1L << 57) - 101))
     Seq(Seq(0L, 1L << 57), Seq(Long.MinValue, Long.MaxValue)).foreach { ts =>

@@ -2,7 +2,7 @@ package repro.core.golemm
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Types.SegmentRecord
-import repro.core.model.{Fallback, Gorilla, ModelType, PmcMean, Swing}
+import repro.core.model.{Gorilla, ModelType, PmcMean, Swing}
 
 class SegmentGeneratorSpec extends AnyFunSuite {
 
