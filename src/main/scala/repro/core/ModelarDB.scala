@@ -10,7 +10,7 @@ import repro.core.Types._
 import repro.core.golemm.{Compressor, GolemmConfig}
 import repro.core.grouping._
 import repro.core.storage.SegmentSource
-import repro.core.views.{DataPointView, SegmentView, TimeCube, Udafs}
+import repro.core.views.{SegmentView, TimeCube, Udafs}
 
 /** End-to-end ModelarDB+ on Spark: static grouping and partitioning on the
   * driver (the paper's master, Figure 3a), GOLEMM compression of each group
@@ -154,16 +154,18 @@ object ModelarDB {
     }
   }
 
-  /** The Data Point View over this store (Section VI-A), optionally
-    * restricted to the series `tids` and to the points in `[from, to]`: the
-    * segments overlapping the range are scanned and the reconstructed points
-    * re-filtered exactly.
+  /** The Data Point View over this store (Section VI-A), read from the
+    * store's scan, optionally restricted to the series `tids` and to the
+    * points in `[from, to]`; both are plain filters that the store pushes
+    * down, `ts` as the bounds of the segments overlapping the range.
     */
   def dataPointView(spark: SparkSession, cfg: Config, catalog: Catalog,
                     tids: Option[Seq[Int]] = None,
                     timeRange: Option[(Long, Long)] = None): DataFrame = {
-    val dpv = DataPointView.fromSegmentView(segmentView(spark, cfg, catalog, tids, timeRange))
-    timeRange.fold(dpv) { case (from, to) => dpv.filter(col("ts") >= from && col("ts") <= to) }
+    val dpv = spark.read.format(SegmentSource.PointsFormatName)
+      .option(SegmentSource.CatalogOption, catalog.encoded).load(cfg.storePath)
+    val ofTids = tids.fold(dpv)(ts => dpv.filter(col("tid").isin(ts: _*)))
+    timeRange.fold(ofTids) { case (from, to) => ofTids.filter(col("ts") >= from && col("ts") <= to) }
   }
 
   /** Register `segment_view` and `datapoint_view` temp views plus the `*_S`

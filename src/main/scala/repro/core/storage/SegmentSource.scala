@@ -15,17 +15,18 @@ import org.apache.spark.sql.connector.write._
 import org.apache.spark.sql.sources._
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
-import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
+import org.apache.spark.sql.catalyst.expressions.{GenericInternalRow, SpecificInternalRow}
 import org.apache.spark.unsafe.types.UTF8String
 
 import repro.core.Catalog
 import repro.core.Types.SegmentRecord
+import repro.core.model.ModelType
 
 /** DataSourceV2 provider for the segment group store (`.sgmt` files on the
   * local filesystem) — the paper's "Segment Storage" component, exposed to
   * Spark as `spark.read.format("repro.core.storage.SegmentSource")`.
   *
-  * A table has one of two schemas:
+  * A table has one of three forms:
   *
   *  - without options besides `path`, the raw segments, [[Schema]] (paper
   *    Figure 6). Segments reach the store only through this schema's batch
@@ -38,6 +39,9 @@ import repro.core.Types.SegmentRecord
   *    `sidx` among the `nseries` present members, its scaling constant and
   *    its denormalised dimension columns. A segment whose gid is not a group
   *    of the catalog fails the scan with an error naming its file.
+  *  - read as [[SegmentSource.PointsFormatName]], which requires the
+  *    catalog, the paper's Data Point View: each segment is decoded once
+  *    into `(tid, ts, value, <dimension columns>)` rows of its members.
   *
   * Predicates on `gid`, `end_time` and `start_time` (the columns the paper
   * pushes to Cassandra, Section VI-B) are pushed down. With a catalog, so are
@@ -47,21 +51,33 @@ import repro.core.Types.SegmentRecord
   * whole files via the per-file min/max header and filter segments during the
   * scan, and EXPLAIN prints them as the scan's description. Every filter is
   * also left in the residual so Catalyst re-checks it — push-down here is a
-  * pruning optimization, never a correctness dependency.
+  * pruning optimization, never a correctness dependency. On the Data Point
+  * View, `ts >= a` and `ts <= b` are pushed as `end_time >= a` and
+  * `start_time <= b`: the bounds of the segments that can hold such points.
   */
-final class SegmentSource extends TableProvider {
+sealed abstract class SegmentProvider(points: Boolean) extends TableProvider {
   override def inferSchema(options: CaseInsensitiveStringMap): StructType =
-    SegmentSource.schemaOf(SegmentSource.catalogOf(options))
+    SegmentSource.schemaOf(catalogOf(options), points)
 
   override def getTable(schema: StructType, partitioning: Array[Transform],
                         properties: java.util.Map[String, String]): Table = {
     val path = properties.get("path")
     require(path != null, "option 'path' is required for the segment store")
-    new SegmentTable(path, SegmentSource.catalogOf(properties))
+    new SegmentTable(path, catalogOf(properties), points)
   }
 
   override def supportsExternalMetadata(): Boolean = false
+
+  private def catalogOf(options: java.util.Map[String, String]): Option[Catalog] = {
+    val catalog = Option(options.get(SegmentSource.CatalogOption)).map(Catalog.decode)
+    if (points && catalog.isEmpty)
+      throw new IllegalArgumentException("option 'catalog' is required for the Data Point View")
+    catalog
+  }
 }
+
+final class SegmentSource extends SegmentProvider(points = false)
+final class DataPointSource extends SegmentProvider(points = true)
 
 object SegmentSource {
   /** The segment table schema (paper Figure 6; `start_time` is materialized
@@ -79,24 +95,26 @@ object SegmentSource {
 
   val FormatName: String = classOf[SegmentSource].getName
 
+  val PointsFormatName: String = classOf[DataPointSource].getName
+
   /** The option that carries a [[Catalog.encoded]] catalog. */
   val CatalogOption: String = "catalog"
 
   /** [[Schema]] without a catalog. With one, the Segment View's: the
     * member's `tid` first, then [[Schema]], then the member's position `sidx`
     * among the segment's `nseries` represented members, its `scaling` and the
-    * catalog's dimension columns.
+    * catalog's dimension columns. For `points`, the Data Point View's: `tid`,
+    * `ts`, `value` and the dimension columns.
     */
-  private[storage] def schemaOf(catalog: Option[Catalog]): StructType =
+  private[storage] def schemaOf(catalog: Option[Catalog], points: Boolean): StructType =
     catalog.fold(Schema)(c => StructType(
-      StructField("tid", IntegerType, nullable = false) +: Schema.fields ++: Seq(
+      StructField("tid", IntegerType, nullable = false) +: (if (points) Seq(
+        StructField("ts", LongType, nullable = false),
+        StructField("value", FloatType, nullable = false)) else Schema.fields ++: Seq(
         StructField("sidx", IntegerType, nullable = false),
         StructField("nseries", IntegerType, nullable = false),
-        StructField("scaling", DoubleType, nullable = false)) ++:
+        StructField("scaling", DoubleType, nullable = false))) ++:
         c.dimColumns.map { case (name, _, _) => StructField(name, StringType) }))
-
-  private def catalogOf(options: java.util.Map[String, String]): Option[Catalog] =
-    Option(options.get(CatalogOption)).map(Catalog.decode)
 
   /** Bounds extracted from pushed filters; evaluated against file headers
     * (skip) and rows (filter).
@@ -158,6 +176,13 @@ object SegmentSource {
       case f @ GreaterThanOrEqual("start_time", v: Long) => p = p.copy(minStart = bump(p.minStart, v)); used += f
       case f @ LessThan("start_time", v: Long)    => p = p.copy(maxStart = math.min(p.maxStart, v - 1)); used += f
       case f @ LessThanOrEqual("start_time", v: Long) => p = p.copy(maxStart = math.min(p.maxStart, v)); used += f
+      // A point at ts lies in the segments with start_time <= ts <= end_time.
+      case f @ GreaterThan("ts", v: Long)         => p = p.copy(minEnd = bump(p.minEnd, v + 1)); used += f
+      case f @ GreaterThanOrEqual("ts", v: Long)  => p = p.copy(minEnd = bump(p.minEnd, v)); used += f
+      case f @ LessThan("ts", v: Long)            => p = p.copy(maxStart = math.min(p.maxStart, v - 1)); used += f
+      case f @ LessThanOrEqual("ts", v: Long)     => p = p.copy(maxStart = math.min(p.maxStart, v)); used += f
+      case f @ EqualTo("ts", v: Long)             =>
+        p = p.copy(minEnd = bump(p.minEnd, v), maxStart = math.min(p.maxStart, v)); used += f
       case _                                      => ()
     }
     for (c <- catalog; f <- filters; tids <- seriesMatching(c, f)) {
@@ -223,15 +248,15 @@ object SegmentSource {
 
 // ---- table -----------------------------------------------------------------
 
-private final class SegmentTable(path: String, catalog: Option[Catalog])
+private final class SegmentTable(path: String, catalog: Option[Catalog], points: Boolean)
     extends Table with SupportsRead with SupportsWrite {
   override def name(): String          = s"segments(`$path`)"
-  override def schema(): StructType    = SegmentSource.schemaOf(catalog)
+  override def schema(): StructType    = SegmentSource.schemaOf(catalog, points)
   override def capabilities(): java.util.Set[TableCapability] =
     java.util.EnumSet.of(TableCapability.BATCH_READ, TableCapability.BATCH_WRITE)
 
   override def newScanBuilder(options: CaseInsensitiveStringMap): ScanBuilder =
-    new SegmentScanBuilder(path, catalog)
+    new SegmentScanBuilder(path, catalog, points)
 
   override def newWriteBuilder(info: LogicalWriteInfo): WriteBuilder = new WriteBuilder {
     override def build(): Write = new Write {
@@ -242,7 +267,7 @@ private final class SegmentTable(path: String, catalog: Option[Catalog])
 
 // ---- read ------------------------------------------------------------------
 
-private final class SegmentScanBuilder(path: String, catalog: Option[Catalog])
+private final class SegmentScanBuilder(path: String, catalog: Option[Catalog], points: Boolean)
     extends ScanBuilder with SupportsPushDownFilters {
   private var pushed: SegmentSource.Pushed = SegmentSource.Pushed()
   private var used: Array[Filter]          = Array.empty
@@ -257,7 +282,7 @@ private final class SegmentScanBuilder(path: String, catalog: Option[Catalog])
   override def pushedFilters(): Array[Filter] = used
 
   override def build(): Scan = new Scan with Batch {
-    override def readSchema(): StructType = SegmentSource.schemaOf(catalog)
+    override def readSchema(): StructType = SegmentSource.schemaOf(catalog, points)
     override def description(): String    = pushed.describe
     override def toBatch: Batch           = this
 
@@ -279,14 +304,14 @@ private final class SegmentScanBuilder(path: String, catalog: Option[Catalog])
     }
 
     override def createReaderFactory(): PartitionReaderFactory =
-      new SegmentReaderFactory(pushed, catalog)
+      new SegmentReaderFactory(pushed, catalog, points)
   }
 }
 
 private final case class SegmentFilesPartition(files: Seq[String]) extends InputPartition
 
-private final class SegmentReaderFactory(pushed: SegmentSource.Pushed, catalog: Option[Catalog])
-    extends PartitionReaderFactory {
+private final class SegmentReaderFactory(pushed: SegmentSource.Pushed, catalog: Option[Catalog],
+                                         points: Boolean) extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
     val files   = partition.asInstanceOf[SegmentFilesPartition].files
     val members = catalog.map(new MemberRows(_))
@@ -294,7 +319,9 @@ private final class SegmentReaderFactory(pushed: SegmentSource.Pushed, catalog: 
       val bytes = Files.readAllBytes(Paths.get(file))
       if (!pushed.matchesFile(SegmentCodec.stats(bytes))) Iterator.empty
       else SegmentCodec.decode(bytes).iterator.filter(pushed.matchesRow).flatMap { s =>
-        members.fold(Iterator.single(SegmentSource.toRow(s)))(_.of(s, file))
+        members.fold(Iterator.single(SegmentSource.toRow(s))) { m =>
+          if (points) m.points(s, file) else m.of(s, file)
+        }
       }
     }
     new PartitionReader[InternalRow] {
@@ -306,10 +333,10 @@ private final class SegmentReaderFactory(pushed: SegmentSource.Pushed, catalog: 
   }
 }
 
-/** The Segment View's explode, for one reader: a segment becomes one row per
-  * member of its group that the Gaps bitmask marks present, in sorted-tid
-  * order. A group's tids, scalings and dimension values are looked up once
-  * per reader.
+/** The Segment View's explode, and the Data Point View's, for one reader: a
+  * segment becomes the rows of each member of its group that the Gaps
+  * bitmask marks present, in sorted-tid order. A group's tids, scalings and
+  * dimension values are looked up once per reader.
   */
 private final class MemberRows(catalog: Catalog) {
   private final class Members(val tids: Array[Int], val scalings: Array[Double],
@@ -330,6 +357,31 @@ private final class MemberRows(catalog: Catalog) {
     present.iterator.zipWithIndex.map { case (i, sidx) =>
       new GenericInternalRow(Array[Any](m.tids(i), s.gid, s.startTime, s.endTime, s.si, s.mid,
         s.params, s.gaps, sidx, present.length, m.scalings(i)) ++ m.dims(i))
+    }
+  }
+
+  /** The reader's one Data Point View row, set in place (its typed fields do
+    * not box) for each point: the scan copies it before it asks for the next.
+    */
+  private lazy val point = new SpecificInternalRow(SegmentSource.schemaOf(Some(catalog), points = true))
+
+  /** The segment decoded once; each present member's points in time order. */
+  def points(s: SegmentRecord, file: String): Iterator[InternalRow] = {
+    val m       = members(s.gid, file)
+    val present = m.tids.indices.filter(i => (s.gaps & (1L << i)) == 0)
+    val n       = present.length
+    val len     = ((s.endTime - s.startTime) / s.si).toInt + 1
+    val decoded = ModelType.byMid(s.mid).decode(s.params, n, len)
+    present.iterator.zipWithIndex.flatMap { case (i, sidx) =>
+      point.setInt(0, m.tids(i))
+      m.dims(i).indices.foreach(d => point.update(3 + d, m.dims(i)(d)))
+      var t = -1
+      Iterator.fill(len) {
+        t += 1
+        point.setLong(1, s.startTime + t.toLong * s.si)
+        point.setFloat(2, (decoded(t * n + sidx) * m.scalings(i)).toFloat)
+        point
+      }
     }
   }
 }

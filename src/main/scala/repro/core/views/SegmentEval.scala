@@ -3,18 +3,18 @@ package repro.core.views
 import repro.core.Types.SeriesAgg
 import repro.core.model.ModelType
 
-/** The one place the views evaluate a segment's model (paper Section VI-B
-  * and VI-C). Each result covers all of the segment's represented members at
-  * once, in model space (before the per-series scaling constant):
+/** The one place the Segment View's aggregates evaluate a segment's model
+  * (paper Section VI-B and VI-C); the Data Point View decodes in the store's
+  * reader instead. Each result covers all of the segment's represented
+  * members at once, in model space (before the per-series scaling constant):
   *
-  *  - [[values]]: the decoded tick-major values, for the Data Point View;
   *  - [[aggregates]]: each member's aggregate over the whole segment, for the
   *    `*_S` UDAFs;
   *  - [[buckets]]: each member's aggregates per time bucket, for `CUBE_*`.
   *
-  * The views call the kernel once per exploded member row, so consecutive
-  * rows of one segment, and the `SUM_S`/`MIN_S`/`MAX_S` of one query, ask for
-  * the same result. A one-entry memo per thread hands it back without
+  * The UDAFs and `CUBE_*` call the kernel once per member row, so
+  * consecutive rows of one segment, and the `SUM_S`/`MIN_S`/`MAX_S` of one
+  * query, ask for the same result. A one-entry memo per thread hands it back without
   * evaluating the segment again: a segment is evaluated once per task, not
   * once per member row (Table I, lazy decompression). The memo key is the
   * segment's content — model type, start time, SI, length, member count, the
@@ -28,13 +28,6 @@ object SegmentEval {
     * aggregate over the ticks of the bucket starting at `starts(b)`.
     */
   final case class Buckets(starts: Array[Long], aggs: Array[Array[SeriesAgg]])
-
-  /** Decoded values: `result(t * nseries + s)` is member `s` at tick `t`. */
-  def values(mid: Int, start: Long, end: Long, si: Int, params: Array[Byte],
-             nseries: Int): Array[Float] =
-    memoized(Decoded, mid, start, end, si, params, nseries) { (mt, len) =>
-      mt.decode(params, nseries, len)
-    }
 
   /** Each member's aggregate over the whole segment. */
   def aggregates(mid: Int, start: Long, end: Long, si: Int, params: Array[Byte],
@@ -66,8 +59,7 @@ object SegmentEval {
       Buckets(starts.toArray, aggs.toArray)
     }
 
-  /** Memo kinds besides the bucket intervals. */
-  private case object Decoded
+  /** The memo kind besides the bucket intervals. */
   private case object Whole
 
   /** The last evaluation on this thread and the content it was made from. */

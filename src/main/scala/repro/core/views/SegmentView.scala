@@ -22,14 +22,14 @@ import repro.core.storage.SegmentSource
   */
 object SegmentView {
 
-  /** The model columns of a row: the `*_S` arguments and the input of every
-    * view UDF that evaluates a segment.
+  /** The model columns of a row: the `*_S` arguments and the input of the
+    * `CUBE_*` UDF.
     */
   val SegFields: Seq[String] =
     Seq("start_time", "end_time", "si", "mid", "params", "sidx", "nseries", "scaling")
 
-  /** A UDF over a Segment View row's [[SegFields]], applied to them: how the
-    * Data Point View and `CUBE_*` reach [[SegmentEval]].
+  /** A UDF over a Segment View row's [[SegFields]], applied to them: how
+    * `CUBE_*` reaches [[SegmentEval]].
     */
   private[views] def segUdf[R: TypeTag](f: Udafs.Seg => R): Column =
     udf { (start: Long, end: Long, si: Int, mid: Int, params: Array[Byte],

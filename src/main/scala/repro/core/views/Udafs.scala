@@ -16,8 +16,8 @@ import repro.core.Types.SeriesAgg
 object Udafs {
 
   /** One Segment View row's model columns, in [[SegmentView.SegFields]]
-    * order (field order matters): the `*_S` arguments and the input of every
-    * view UDF that evaluates a segment.
+    * order (field order matters): the `*_S` arguments and the input of the
+    * `CUBE_*` UDF.
     */
   final case class Seg(
       start_time: Long,
@@ -33,12 +33,6 @@ object Udafs {
     def seriesAgg: SeriesAgg =
       Udafs.scale(SegmentEval.aggregates(mid, start_time, end_time, si, params, nseries)(sidx),
                   scaling)
-
-    /** This series' reconstructed values, one per tick, scaling applied. */
-    def values: Array[Float] = {
-      val all = SegmentEval.values(mid, start_time, end_time, si, params, nseries)
-      Array.tabulate(all.length / nseries)(t => (all(t * nseries + sidx) * scaling).toFloat)
-    }
 
     /** This series' `(bucket, count, sum, min, max)` per bucket of
       * `interval`, scaling applied.

@@ -125,6 +125,20 @@ class SegmentSourceSpec extends SparkSpec {
     assert(df.select("gid", "start_time").distinct().count() == 100 && df.count() == 100)
   }
 
+  test("the Data Point View form without a catalog fails at load") {
+    val dir = Stores.tmpDir("sgmt-test")
+    SegmentSource.writeFile(dir, segments)
+    val message = "option 'catalog' is required for the Data Point View"
+    val load = intercept[IllegalArgumentException](
+      spark.read.format(SegmentSource.PointsFormatName).load(dir))
+    assert(load.getMessage == message)
+    val table = intercept[IllegalArgumentException](new DataPointSource().getTable(
+      SegmentSource.Schema, Array.empty, java.util.Map.of("path", dir)))
+    assert(table.getMessage == message)
+    // The raw form needs no catalog.
+    assert(spark.read.format(SegmentSource.FormatName).load(dir).count() == 100)
+  }
+
   test("reading a missing directory yields an empty frame") {
     val df = spark.read.format(SegmentSource.FormatName).load(Stores.tmpDir("sgmt-test") + "/nope")
     assert(df.count() == 0)

@@ -8,9 +8,10 @@ import repro.core.ModelarDB
 import repro.core.golemm.GolemmConfig
 import repro.data.TimeSeriesGen
 
-/** The shared segment kernel where it can go wrong: groups whose segments
-  * serve many member rows, and segments of two stores that agree on
-  * `(gid, start_time)` but not on their models.
+/** The shared segment kernel of `*_S` and `CUBE_*`, and the Data Point
+  * View, which decodes in the store's reader, where they can go wrong: groups
+  * whose segments serve many member rows, and segments of two stores that
+  * agree on `(gid, start_time)` but not on their models.
   */
 class SegmentEvalSpec extends SparkSpec {
 
@@ -47,7 +48,7 @@ class SegmentEvalSpec extends SparkSpec {
         |       SUM(CAST(value AS DOUBLE)) AS value
         |FROM pts GROUP BY 1, 2""".stripMargin, raw)
     Oracle.assertEquivalent(
-      DataPointView.fromSegmentView(sv)
+      ModelarDB.dataPointView(spark, b.cfg, b.catalog)
         .select(col("tid"), col("ts"), col("value").cast("double").as("value")),
       "SELECT CAST(tid AS INT) AS tid, CAST(ts AS BIGINT) AS ts, CAST(value AS DOUBLE) AS value FROM pts",
       raw)
@@ -84,9 +85,10 @@ class SegmentEvalSpec extends SparkSpec {
         |       (CAST(ts AS BIGINT) // 3600000) * 3600000 AS bucket,
         |       SUM(CAST(value AS DOUBLE)) AS value
         |FROM pts GROUP BY 1, 2, 3""".stripMargin, raw)
+    val dpvs = ModelarDB.dataPointView(spark, b1.cfg, b1.catalog).withColumn("store", lit(1))
+      .unionByName(ModelarDB.dataPointView(spark, b2.cfg, b2.catalog).withColumn("store", lit(2)))
     Oracle.assertEquivalent(
-      DataPointView.fromSegmentView(both)
-        .select(col("store"), col("tid"), col("ts"), col("value").cast("double").as("value")),
+      dpvs.select(col("store"), col("tid"), col("ts"), col("value").cast("double").as("value")),
       """SELECT CAST(store AS INT) AS store, CAST(tid AS INT) AS tid, CAST(ts AS BIGINT) AS ts,
         |       CAST(value AS DOUBLE) AS value FROM pts""".stripMargin, raw)
   }

@@ -2,6 +2,7 @@ package repro.core.views
 
 import org.apache.spark.SparkException
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{max, min}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.datasources.v2.BatchScanExec
 import repro.{Oracle, SparkSpec, TestStore}
@@ -14,7 +15,8 @@ import repro.data.TimeSeriesGen
 /** Tid and dimension predicates in plain SQL on `segment_view` reach the
   * segment store as Gid sets (paper Section VI-B): the answer is unchanged,
   * EXPLAIN shows the pushed Gids and the scan returns only their groups'
-  * member rows.
+  * member rows. `ts` predicates on `datapoint_view` reach it as the time
+  * bounds of the segments that overlap them.
   */
 class SegmentViewPushDownSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
@@ -36,6 +38,18 @@ class SegmentViewPushDownSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       .map { r =>
         val gaps = r.getLong(6)
         built.catalog.membersOf(r.getInt(0)).indices.count(i => (gaps & (1L << i)) == 0).toLong
+      }.sum
+
+  /** Points of the store's segments that overlap `[lo, hi]`, counted from
+    * the raw segments: present members times length.
+    */
+  private def pointsOverlapping(lo: Long, hi: Long): Long =
+    spark.read.format(SegmentSource.FormatName).load(built.cfg.storePath).collect()
+      .filter(r => r.getLong(2) >= lo && r.getLong(1) <= hi)
+      .map { r =>
+        val gaps    = r.getLong(6)
+        val present = built.catalog.membersOf(r.getInt(0)).indices.count(i => (gaps & (1L << i)) == 0)
+        present * ((r.getLong(2) - r.getLong(1)) / r.getInt(3) + 1)
       }.sum
 
   /** Run `df` and return the rows its segment scan produced. */
@@ -118,6 +132,32 @@ class SegmentViewPushDownSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       case (dim, level, member) =>
         assert(SegmentView.forMember(spark, built.cfg.storePath, built.catalog,
                                      dim, level, member).count() == 0, s"$dim $level $member")
+    }
+  }
+
+  test("a ts range or point on datapoint_view reads only the segments that overlap it") {
+    ModelarDB.registerViews(spark, built.cfg, built.catalog)
+    val raw   = spark.read.format(SegmentSource.FormatName).load(built.cfg.storePath)
+    val first = raw.agg(min("start_time")).head().getLong(0)
+    val last  = raw.agg(max("end_time")).head().getLong(0)
+    val third = (last - first) / 3
+    val all   = scannedRows(spark.sql("SELECT * FROM datapoint_view"))
+    Seq((first + third, first + 2 * third), (first + third, first + third)).foreach { case (lo, hi) =>
+      val where = if (lo == hi) s"ts = $lo" else s"ts BETWEEN $lo AND $hi"
+      val sql   = s"SELECT tid, ts, CAST(value AS DOUBLE) AS value FROM datapoint_view WHERE $where"
+      val plan  = explain(sql)
+      assert(plan.contains(s"end_time=[$lo, inf]") && plan.contains(s"start_time=[-inf, $hi]"), plan)
+      assert(!plan.contains("Generate") && !plan.contains("UDF"), plan)
+      val got      = spark.sql(sql)
+      val expected = pointsOverlapping(lo, hi)
+      assert(scannedRows(got) == expected, where)
+      assert(expected > 0 && expected < all, s"$where: $expected of $all")
+      Oracle.assertEquivalent(
+        got,
+        s"""SELECT CAST(tid AS INT) AS tid, CAST(ts AS BIGINT) AS ts, CAST(value AS DOUBLE) AS value
+           |FROM pts WHERE CAST(ts AS BIGINT) BETWEEN $lo AND $hi""".stripMargin,
+        "pts" -> TestStore.rawDouble(built.dataset),
+      )
     }
   }
 
