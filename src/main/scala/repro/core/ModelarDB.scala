@@ -92,10 +92,14 @@ object ModelarDB {
     * A point with a null field, points of a tid that is not in the catalog,
     * duplicate `(tid, ts)` points and a group spanning 2^57 ms or more fail
     * it.
+    * The first ingest writes `setup.catalog` into the store for the views to
+    * read; one with another catalog fails before any task runs.
     */
   def ingest(spark: SparkSession, cfg: Config, setup: Setup, points: DataFrame): IngestStats = {
     val t0      = System.nanoTime()
     val catalog = setup.catalog
+    SegmentSource.storedCatalog(cfg.storePath).fold(SegmentSource.writeCatalog(cfg.storePath, catalog))(
+      requireSame(cfg.storePath, _, catalog))
     val golemm  = cfg.golemm
     val chunker = new Compressor.Chunker(catalog.groups)
 
@@ -140,6 +144,17 @@ object ModelarDB {
     )
   }
 
+  /** Fail unless `catalog` holds what `stored`, the store's, holds, naming the
+    * lowest gid, else tid, whose group or series differs.
+    */
+  private def requireSame(path: String, stored: Catalog, catalog: Catalog): Unit = {
+    def first[V](what: String, a: Map[Int, V], b: Map[Int, V]) =
+      (a.keySet ++ b.keySet).toSeq.sorted.find(k => a.get(k) != b.get(k)).map(k => s"$what $k")
+    first("group", catalog.byGid, stored.byGid).orElse(first("series", catalog.byTid, stored.byTid))
+      .orElse(Option.when(catalog.dims != stored.dims)("the dimensions"))
+      .foreach(d => throw new IllegalArgumentException(s"store $path holds another catalog: $d differs"))
+  }
+
   /** The Segment View over this store (Section VI-A), optionally
     * restricted to the series `tids` and to the segments overlapping
     * `[from, to]`; both are plain filters that the store pushes down.
@@ -147,7 +162,8 @@ object ModelarDB {
   def segmentView(spark: SparkSession, cfg: Config, catalog: Catalog,
                   tids: Option[Seq[Int]] = None,
                   timeRange: Option[(Long, Long)] = None): DataFrame = {
-    val sv = SegmentView(spark, cfg.storePath, catalog)
+    requireSame(cfg.storePath, SegmentSource.catalogOf(cfg.storePath), catalog)
+    val sv = SegmentView(spark, cfg.storePath)
     val ofTids = tids.fold(sv)(ts => sv.filter(col("tid").isin(ts: _*)))
     timeRange.fold(ofTids) { case (from, to) =>
       ofTids.filter(col("end_time") >= from && col("start_time") <= to)
@@ -162,8 +178,8 @@ object ModelarDB {
   def dataPointView(spark: SparkSession, cfg: Config, catalog: Catalog,
                     tids: Option[Seq[Int]] = None,
                     timeRange: Option[(Long, Long)] = None): DataFrame = {
-    val dpv = spark.read.format(SegmentSource.PointsFormatName)
-      .option(SegmentSource.CatalogOption, catalog.encoded).load(cfg.storePath)
+    requireSame(cfg.storePath, SegmentSource.catalogOf(cfg.storePath), catalog)
+    val dpv = spark.read.format(SegmentSource.PointsFormatName).load(cfg.storePath)
     val ofTids = tids.fold(dpv)(ts => dpv.filter(col("tid").isin(ts: _*)))
     timeRange.fold(ofTids) { case (from, to) => ofTids.filter(col("ts") >= from && col("ts") <= to) }
   }

@@ -1,11 +1,13 @@
 package repro.core.storage
 
-import java.io.File
+import java.io.{File, IOException}
 import java.nio.file.{DirectoryNotEmptyException, Files, Paths, StandardCopyOption}
 import java.util.UUID
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
+import com.fasterxml.jackson.databind.json.JsonMapper
+import com.fasterxml.jackson.module.scala.DefaultScalaModule
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, SupportsWrite, Table, TableCapability, TableProvider}
@@ -22,29 +24,27 @@ import repro.core.Catalog
 import repro.core.Types.SegmentRecord
 import repro.core.model.ModelType
 
-/** DataSourceV2 provider for the segment group store (`.sgmt` files on the
-  * local filesystem) — the paper's "Segment Storage" component, exposed to
-  * Spark as `spark.read.format("repro.core.storage.SegmentSource")`.
+/** DataSourceV2 provider for the segment group store (`.sgmt` files and the
+  * store's catalog, `catalog.json`, on the local filesystem) — the paper's
+  * "Segment Storage" component, exposed to Spark as one table in three forms,
+  * one per format name (`spark.read.format(<format name>).load(path)`):
   *
-  * A table has one of three forms:
-  *
-  *  - without options besides `path`, the raw segments, [[Schema]] (paper
-  *    Figure 6). Segments reach the store only through this schema's batch
-  *    write (`df.write.format(FormatName).mode("append").save(path)`), whose
-  *    files become visible together when the job commits.
-  *  - with the store's catalog in option [[CatalogOption]] (a
-  *    [[Catalog.encoded]] string), the paper's Segment View (Section VI-A):
-  *    each segment is exploded into one row per member its Gaps bitmask
-  *    marks present, carrying the member's Tid, its position
+  *  - [[SegmentSource.FormatName]], the raw segments, [[SegmentSource.Schema]]
+  *    (paper Figure 6). Segments reach the store only through this schema's
+  *    batch write (`df.write.format(FormatName).mode("append").save(path)`),
+  *    whose files become visible together when the job commits.
+  *  - [[SegmentSource.ViewFormatName]], the paper's Segment View (Section
+  *    VI-A): each segment is exploded into one row per member its Gaps
+  *    bitmask marks present, carrying the member's Tid, its position
   *    `sidx` among the `nseries` present members, its scaling constant and
   *    its denormalised dimension columns. A segment whose gid is not a group
-  *    of the catalog fails the scan with an error naming its file.
-  *  - read as [[SegmentSource.PointsFormatName]], which requires the
-  *    catalog, the paper's Data Point View: each segment is decoded once
-  *    into `(tid, ts, value, <dimension columns>)` rows of its members.
+  *    of the store's catalog fails the scan with an error naming its file.
+  *  - [[SegmentSource.PointsFormatName]], the paper's Data Point View: each
+  *    segment is decoded once into `(tid, ts, value, <dimension columns>)`
+  *    rows of its members.
   *
   * Predicates on `gid`, `end_time` and `start_time` (the columns the paper
-  * pushes to Cassandra, Section VI-B) are pushed down. With a catalog, so are
+  * pushes to Cassandra, Section VI-B) are pushed down. On the views, so are
   * `=`, `IN`, `<`, `<=`, `>`, `>=` on `tid` and `=`/`IN` on dimension
   * columns: each is evaluated against the catalog's series and the matching
   * Tids are rewritten to the Gids of their groups. The pushed bounds skip
@@ -55,29 +55,23 @@ import repro.core.model.ModelType
   * View, `ts >= a` and `ts <= b` are pushed as `end_time >= a` and
   * `start_time <= b`: the bounds of the segments that can hold such points.
   */
-sealed abstract class SegmentProvider(points: Boolean) extends TableProvider {
-  override def inferSchema(options: CaseInsensitiveStringMap): StructType =
-    SegmentSource.schemaOf(catalogOf(options), points)
+sealed abstract class SegmentProvider private[storage] (formOf: String => SegmentSource.Form)
+    extends TableProvider {
+  override def inferSchema(options: CaseInsensitiveStringMap): StructType = table(options).schema()
 
   override def getTable(schema: StructType, partitioning: Array[Transform],
-                        properties: java.util.Map[String, String]): Table = {
-    val path = properties.get("path")
+                        properties: java.util.Map[String, String]): Table = table(properties)
+
+  private def table(options: java.util.Map[String, String]): SegmentTable = {
+    val path = options.get("path")
     require(path != null, "option 'path' is required for the segment store")
-    new SegmentTable(path, catalogOf(properties), points)
-  }
-
-  override def supportsExternalMetadata(): Boolean = false
-
-  private def catalogOf(options: java.util.Map[String, String]): Option[Catalog] = {
-    val catalog = Option(options.get(SegmentSource.CatalogOption)).map(Catalog.decode)
-    if (points && catalog.isEmpty)
-      throw new IllegalArgumentException("option 'catalog' is required for the Data Point View")
-    catalog
+    new SegmentTable(path, formOf(path))
   }
 }
 
-final class SegmentSource extends SegmentProvider(points = false)
-final class DataPointSource extends SegmentProvider(points = true)
+final class SegmentSource extends SegmentProvider(_ => SegmentSource.Raw)
+final class SegmentViewSource extends SegmentProvider(p => SegmentSource.SegmentRows(SegmentSource.catalogOf(p)))
+final class DataPointSource extends SegmentProvider(p => SegmentSource.PointRows(SegmentSource.catalogOf(p)))
 
 object SegmentSource {
   /** The segment table schema (paper Figure 6; `start_time` is materialized
@@ -93,28 +87,67 @@ object SegmentSource {
     StructField("gaps", LongType, nullable = false),
   ))
 
-  val FormatName: String = classOf[SegmentSource].getName
-
+  val FormatName: String       = classOf[SegmentSource].getName
+  val ViewFormatName: String   = classOf[SegmentViewSource].getName
   val PointsFormatName: String = classOf[DataPointSource].getName
 
-  /** The option that carries a [[Catalog.encoded]] catalog. */
-  val CatalogOption: String = "catalog"
+  /** What a table reads: the raw segments, or a view with the store's catalog. */
+  private[storage] sealed abstract class Form(val catalog: Option[Catalog]) extends Serializable
+  private[storage] case object Raw extends Form(None)
+  private[storage] final case class SegmentRows(c: Catalog) extends Form(Some(c))
+  private[storage] final case class PointRows(c: Catalog) extends Form(Some(c))
 
-  /** [[Schema]] without a catalog. With one, the Segment View's: the
-    * member's `tid` first, then [[Schema]], then the member's position `sidx`
-    * among the segment's `nseries` represented members, its `scaling` and the
-    * catalog's dimension columns. For `points`, the Data Point View's: `tid`,
-    * `ts`, `value` and the dimension columns.
+  /** [[Schema]] for the raw form. The Segment View's: the member's `tid`
+    * first, then [[Schema]], then the member's position `sidx` among the
+    * segment's `nseries` represented members, its `scaling` and the
+    * catalog's dimension columns. The Data Point View's: `tid`, `ts`,
+    * `value` and the dimension columns.
     */
-  private[storage] def schemaOf(catalog: Option[Catalog], points: Boolean): StructType =
-    catalog.fold(Schema)(c => StructType(
-      StructField("tid", IntegerType, nullable = false) +: (if (points) Seq(
+  private[storage] def schemaOf(form: Form): StructType =
+    form.catalog.fold(Schema)(c => StructType(
+      StructField("tid", IntegerType, nullable = false) +: (if (form.isInstanceOf[PointRows]) Seq(
         StructField("ts", LongType, nullable = false),
         StructField("value", FloatType, nullable = false)) else Schema.fields ++: Seq(
         StructField("sidx", IntegerType, nullable = false),
         StructField("nseries", IntegerType, nullable = false),
         StructField("scaling", DoubleType, nullable = false))) ++:
         c.dimColumns.map { case (name, _, _) => StructField(name, StringType) }))
+
+  private val CatalogFile = "catalog.json"
+  private lazy val Json = JsonMapper.builder().addModule(DefaultScalaModule).build()
+
+  /** The last catalog file parsed and its catalog: a view reads the store's
+    * catalog three times, and parsing costs far more than reading the bytes.
+    */
+  @volatile private var lastParsed: (Array[Byte], Catalog) = (Array.emptyByteArray, null)
+
+  /** The catalog the store at `path` holds, if any. The file is outside input:
+    * the [[Catalog]] constructor checks it, and a bad file fails naming it.
+    */
+  private[core] def storedCatalog(path: String): Option[Catalog] = {
+    val file = new File(path, CatalogFile)
+    Option.when(file.exists())(try {
+      val (bytes, last) = (Files.readAllBytes(file.toPath), lastParsed)
+      if (java.util.Arrays.equals(bytes, last._1)) last._2
+      else { val c = Json.readValue(bytes, classOf[Catalog]); lastParsed = (bytes, c); c }
+    } catch {
+      case e: IOException =>
+        throw new IllegalArgumentException(s"catalog file $file is damaged or invalid: ${e.getMessage}", e)
+    })
+  }
+
+  /** The catalog of the store at `path`, which both views need. */
+  private[core] def catalogOf(path: String): Catalog = storedCatalog(path).getOrElse(
+    throw new IllegalArgumentException(s"store $path holds no catalog; ingest into it first"))
+
+  /** Make `catalog` the store's, creating its directory if needed; written
+    * under a temp name and renamed, so a reader never sees a partial file.
+    */
+  private[core] def writeCatalog(path: String, catalog: Catalog): Unit = {
+    val dir = Files.createDirectories(Paths.get(path))
+    val tmp = Files.write(dir.resolve(s".$CatalogFile-${UUID.randomUUID()}"), Json.writeValueAsBytes(catalog))
+    Files.move(tmp, dir.resolve(CatalogFile), StandardCopyOption.ATOMIC_MOVE)
+  }
 
   /** Bounds extracted from pushed filters; evaluated against file headers
     * (skip) and rows (filter).
@@ -235,7 +268,7 @@ object SegmentSource {
     f
   }
 
-  /** Total on-disk size of a store in bytes. */
+  /** Total size of a store's `.sgmt` files in bytes. */
   def storeBytes(path: String): Long = listFiles(path).map(_.length()).sum
 
   private[storage] def toRow(s: SegmentRecord): InternalRow =
@@ -248,15 +281,15 @@ object SegmentSource {
 
 // ---- table -----------------------------------------------------------------
 
-private final class SegmentTable(path: String, catalog: Option[Catalog], points: Boolean)
+private final class SegmentTable(path: String, form: SegmentSource.Form)
     extends Table with SupportsRead with SupportsWrite {
   override def name(): String          = s"segments(`$path`)"
-  override def schema(): StructType    = SegmentSource.schemaOf(catalog, points)
+  override def schema(): StructType    = SegmentSource.schemaOf(form)
   override def capabilities(): java.util.Set[TableCapability] =
     java.util.EnumSet.of(TableCapability.BATCH_READ, TableCapability.BATCH_WRITE)
 
   override def newScanBuilder(options: CaseInsensitiveStringMap): ScanBuilder =
-    new SegmentScanBuilder(path, catalog, points)
+    new SegmentScanBuilder(path, form)
 
   override def newWriteBuilder(info: LogicalWriteInfo): WriteBuilder = new WriteBuilder {
     override def build(): Write = new Write {
@@ -267,13 +300,13 @@ private final class SegmentTable(path: String, catalog: Option[Catalog], points:
 
 // ---- read ------------------------------------------------------------------
 
-private final class SegmentScanBuilder(path: String, catalog: Option[Catalog], points: Boolean)
+private final class SegmentScanBuilder(path: String, form: SegmentSource.Form)
     extends ScanBuilder with SupportsPushDownFilters {
   private var pushed: SegmentSource.Pushed = SegmentSource.Pushed()
   private var used: Array[Filter]          = Array.empty
 
   override def pushFilters(filters: Array[Filter]): Array[Filter] = {
-    val (p, u) = SegmentSource.extract(filters, catalog)
+    val (p, u) = SegmentSource.extract(filters, form.catalog)
     pushed = p
     used = u
     filters // keep everything in the residual: pruning only, never semantics
@@ -282,7 +315,7 @@ private final class SegmentScanBuilder(path: String, catalog: Option[Catalog], p
   override def pushedFilters(): Array[Filter] = used
 
   override def build(): Scan = new Scan with Batch {
-    override def readSchema(): StructType = SegmentSource.schemaOf(catalog, points)
+    override def readSchema(): StructType = SegmentSource.schemaOf(form)
     override def description(): String    = pushed.describe
     override def toBatch: Batch           = this
 
@@ -304,25 +337,25 @@ private final class SegmentScanBuilder(path: String, catalog: Option[Catalog], p
     }
 
     override def createReaderFactory(): PartitionReaderFactory =
-      new SegmentReaderFactory(pushed, catalog, points)
+      new SegmentReaderFactory(pushed, form)
   }
 }
 
 private final case class SegmentFilesPartition(files: Seq[String]) extends InputPartition
 
-private final class SegmentReaderFactory(pushed: SegmentSource.Pushed, catalog: Option[Catalog],
-                                         points: Boolean) extends PartitionReaderFactory {
+private final class SegmentReaderFactory(pushed: SegmentSource.Pushed, form: SegmentSource.Form)
+    extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
-    val files   = partition.asInstanceOf[SegmentFilesPartition].files
-    val members = catalog.map(new MemberRows(_))
+    val files = partition.asInstanceOf[SegmentFilesPartition].files
+    val rowsOf: (SegmentRecord, String) => Iterator[InternalRow] = form match {
+      case SegmentSource.Raw            => (s, _) => Iterator.single(SegmentSource.toRow(s))
+      case SegmentSource.SegmentRows(c) => new MemberRows(c).of
+      case SegmentSource.PointRows(c)   => new MemberRows(c).points
+    }
     val rows: Iterator[InternalRow] = files.iterator.flatMap { file =>
       val bytes = Files.readAllBytes(Paths.get(file))
       if (!pushed.matchesFile(SegmentCodec.stats(bytes))) Iterator.empty
-      else SegmentCodec.decode(bytes).iterator.filter(pushed.matchesRow).flatMap { s =>
-        members.fold(Iterator.single(SegmentSource.toRow(s))) { m =>
-          if (points) m.points(s, file) else m.of(s, file)
-        }
-      }
+      else SegmentCodec.decode(bytes).iterator.filter(pushed.matchesRow).flatMap(rowsOf(_, file))
     }
     new PartitionReader[InternalRow] {
       private var cur: InternalRow = _
@@ -363,7 +396,7 @@ private final class MemberRows(catalog: Catalog) {
   /** The reader's one Data Point View row, set in place (its typed fields do
     * not box) for each point: the scan copies it before it asks for the next.
     */
-  private lazy val point = new SpecificInternalRow(SegmentSource.schemaOf(Some(catalog), points = true))
+  private lazy val point = new SpecificInternalRow(SegmentSource.schemaOf(SegmentSource.PointRows(catalog)))
 
   /** The segment decoded once; each present member's points in time order. */
   def points(s: SegmentRecord, file: String): Iterator[InternalRow] = {

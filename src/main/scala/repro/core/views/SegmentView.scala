@@ -4,7 +4,6 @@ import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import scala.reflect.runtime.universe.TypeTag
 
-import repro.core.Catalog
 import repro.core.storage.SegmentSource
 
 /** The paper's Segment View (Section VI-A): segments from the group store
@@ -12,8 +11,8 @@ import repro.core.storage.SegmentSource
   * time series, schema `(tid, gid, start_time, end_time, si, mid, params,
   * gaps, sidx, nseries, scaling, <dimension columns>)`.
   *
-  * The store's scan produces these rows itself when it is given the catalog
-  * (see [[SegmentSource]]). `sidx`/`nseries` locate the series inside the
+  * The store's scan produces these rows itself from the catalog the store
+  * holds (see [[SegmentSource]]). `sidx`/`nseries` locate the series inside the
   * segment's parameter blob. Queries and results use Tids and dimension
   * members only: a filter on `tid` or on a dimension column is rewritten to
   * the Gids of the matching series' groups and pushed to the segment store
@@ -45,24 +44,6 @@ object SegmentView {
       SegFields.contains(c) || c == "gaps" || c == "gid")
 
   /** The Segment View over the store at `storePath`. */
-  def apply(spark: SparkSession, storePath: String, catalog: Catalog): DataFrame =
-    spark.read.format(SegmentSource.FormatName)
-      .option(SegmentSource.CatalogOption, catalog.encoded)
-      .load(storePath)
-
-  /** The Segment View restricted to the series with `member` at 1-based
-    * `level` of `dimension`: a filter on their Tids, which the store rewrites
-    * to the Gids of the groups holding them (Section VI-B). A dimension,
-    * level or member the catalog does not have selects nothing.
-    */
-  def forMember(
-      spark: SparkSession,
-      storePath: String,
-      catalog: Catalog,
-      dimension: String,
-      level: Int,
-      member: String,
-  ): DataFrame =
-    apply(spark, storePath, catalog)
-      .filter(col("tid").isin(catalog.tidsForMember(dimension, level, member): _*))
+  def apply(spark: SparkSession, storePath: String): DataFrame =
+    spark.read.format(SegmentSource.ViewFormatName).load(storePath)
 }

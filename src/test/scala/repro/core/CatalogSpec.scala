@@ -1,8 +1,13 @@
 package repro.core
 
+import java.io.File
+import java.nio.file.Files
+
 import org.scalatest.funsuite.AnyFunSuite
+import repro.bench.Stores
 import repro.core.Types.{Group, TimeSeriesMeta}
 import repro.core.grouping.DimensionSpec
+import repro.core.storage.SegmentSource
 
 class CatalogSpec extends AnyFunSuite {
 
@@ -34,11 +39,13 @@ class CatalogSpec extends AnyFunSuite {
     assert(cat.gidsForTids(Seq(2, 3)) == Set(1, 2))
   }
 
-  test("gidsForMember finds groups containing a member's series") {
-    assert(cat.gidsForMember("Measure", 1, "temp") == Set(1, 2))
-    assert(cat.gidsForMember("Measure", 1, "speed") == Set(2))
-    assert(cat.gidsForMember("Location", 1, "p1") == Set(1))
-    assert(cat.gidsForMember("Location", 1, "nowhere") == Set.empty[Int])
+  test("gidsForTids of a member's tids finds the groups containing its series") {
+    def gidsForMember(dim: String, level: Int, member: String) =
+      cat.gidsForTids(cat.tidsForMember(dim, level, member))
+    assert(gidsForMember("Measure", 1, "temp") == Set(1, 2))
+    assert(gidsForMember("Measure", 1, "speed") == Set(2))
+    assert(gidsForMember("Location", 1, "p1") == Set(1))
+    assert(gidsForMember("Location", 1, "nowhere") == Set.empty[Int])
   }
 
   test("dimColumns are lowercase dim_level names in hierarchy order") {
@@ -83,6 +90,22 @@ class CatalogSpec extends AnyFunSuite {
     assert(msg(groups :+ Group(3, IndexedSeq(5)): _*).contains("group 3 member 5 is not a known series"))
   }
 
+  test("repeated ids, a zero sampling interval and a zero or NaN scaling are rejected") {
+    def msg(series: IndexedSeq[TimeSeriesMeta], groups: Group*): String =
+      intercept[IllegalArgumentException](Catalog(series, groups.toIndexedSeq, Nil)).getMessage
+    val (one, two) = (TimeSeriesMeta(1, 100), TimeSeriesMeta(2, 100))
+    assert(msg(IndexedSeq(one, two), Group(1, IndexedSeq(1)), Group(1, IndexedSeq(2)))
+             .contains("gid 1 is used more than once"))
+    assert(msg(IndexedSeq(one, one), Group(1, IndexedSeq(1)), Group(2, IndexedSeq(1)))
+             .contains("tid 1 is used more than once"))
+    assert(msg(IndexedSeq(one.copy(si = 0)), Group(1, IndexedSeq(1)))
+             .contains("series 1 has sampling interval 0; it must be positive"))
+    assert(msg(IndexedSeq(one.copy(scaling = 0.0)), Group(1, IndexedSeq(1)))
+             .contains("series 1 has scaling 0.0; it must be finite and non-zero"))
+    assert(msg(IndexedSeq(one.copy(scaling = Double.NaN)), Group(1, IndexedSeq(1)))
+             .contains("series 1 has scaling NaN; it must be finite and non-zero"))
+  }
+
   test("SeriesAgg merge combines statistics") {
     import repro.core.Types.SeriesAgg
     val a = SeriesAgg(2, 10.0, 1.0, 9.0)
@@ -101,14 +124,31 @@ class CatalogSpec extends AnyFunSuite {
     assert(s1.length == 2)
   }
 
-  test("decode restores an encoded catalog and rejects a foreign class") {
-    assert(Catalog.decode(cat.encoded) == cat)
-    val bytes = new java.io.ByteArrayOutputStream()
-    val out   = new java.io.ObjectOutputStream(bytes)
-    out.writeObject(new java.util.ArrayList[String]())
-    out.close()
-    val foreign = java.util.Base64.getEncoder.encodeToString(bytes.toByteArray)
-    val e = intercept[java.io.InvalidClassException](Catalog.decode(foreign))
-    assert(e.getMessage.contains("REJECTED"), e.getMessage)
+  test("the catalog round-trips through the store's file, without its lookup maps") {
+    val dir    = Stores.tmpDir("catalog")
+    val scaled = cat.copy(series = cat.series.map(s => s.copy(scaling = s.tid / 3.0, source = s"f${s.tid}")))
+    SegmentSource.writeCatalog(dir, scaled)
+    assert(SegmentSource.storedCatalog(dir).contains(scaled))
+    val json = new String(Files.readAllBytes(new File(dir, "catalog.json").toPath), "UTF-8")
+    assert(Seq("byTid", "byGid", "gidOf").forall(m => !json.contains(m)), json)
+    assert(new File(dir).list().toSeq == Seq("catalog.json"))
+    // An unchanged file is parsed once; a rewritten one is read anew.
+    assert(SegmentSource.storedCatalog(dir).get eq SegmentSource.storedCatalog(dir).get)
+    SegmentSource.writeCatalog(dir, cat)
+    assert(SegmentSource.storedCatalog(dir).contains(cat))
+  }
+
+  test("a truncated or invalid catalog file fails with its path in the message") {
+    val dir  = Stores.tmpDir("catalog")
+    val file = new File(dir, "catalog.json")
+    SegmentSource.writeCatalog(dir, cat)
+    val json = Files.readAllBytes(file.toPath)
+    Files.write(file.toPath, json.take(json.length / 2))
+    val truncated = intercept[IllegalArgumentException](SegmentSource.storedCatalog(dir))
+    assert(truncated.getMessage.contains(s"catalog file $file is damaged or invalid"), truncated.getMessage)
+    Files.write(file.toPath, new String(json, "UTF-8").replace("\"si\":100", "\"si\":0").getBytes("UTF-8"))
+    val invalid = intercept[IllegalArgumentException](SegmentSource.storedCatalog(dir))
+    assert(invalid.getMessage.contains(s"catalog file $file is damaged or invalid"), invalid.getMessage)
+    assert(invalid.getMessage.contains("series 1 has sampling interval 0"), invalid.getMessage)
   }
 }

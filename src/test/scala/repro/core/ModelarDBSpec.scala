@@ -295,7 +295,7 @@ class ModelarDBSpec extends SparkSpec with Eventually {
   test("dimension member predicate rewrite scans the right gids") {
     val ds = TimeSeriesGen.epLike(spark, sf = 0.001)
     val b  = TestStore.build(spark, ds, Seq(Correlation.Auto()))
-    val gids = b.catalog.gidsForMember("Measure", 1, "power")
+    val gids = b.catalog.gidsForTids(b.catalog.tidsForMember("Measure", 1, "power"))
     assert(gids.nonEmpty && gids.size < b.catalog.groups.length)
     val powerTids = b.catalog.series.filter(_.dims("Measure")(0) == "power").map(_.tid).toSet
     assert(gids == b.catalog.groups.filter(_.tids.exists(powerTids)).map(_.gid).toSet)

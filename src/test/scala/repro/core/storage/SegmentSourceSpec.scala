@@ -125,16 +125,18 @@ class SegmentSourceSpec extends SparkSpec {
     assert(df.select("gid", "start_time").distinct().count() == 100 && df.count() == 100)
   }
 
-  test("the Data Point View form without a catalog fails at load") {
+  test("the view forms of a store without a catalog fail at load") {
     val dir = Stores.tmpDir("sgmt-test")
     SegmentSource.writeFile(dir, segments)
-    val message = "option 'catalog' is required for the Data Point View"
-    val load = intercept[IllegalArgumentException](
-      spark.read.format(SegmentSource.PointsFormatName).load(dir))
-    assert(load.getMessage == message)
-    val table = intercept[IllegalArgumentException](new DataPointSource().getTable(
-      SegmentSource.Schema, Array.empty, java.util.Map.of("path", dir)))
-    assert(table.getMessage == message)
+    val message = s"store $dir holds no catalog; ingest into it first"
+    Seq(SegmentSource.ViewFormatName -> new SegmentViewSource(),
+        SegmentSource.PointsFormatName -> new DataPointSource()).foreach { case (format, provider) =>
+      val load = intercept[IllegalArgumentException](spark.read.format(format).load(dir))
+      assert(load.getMessage == message, format)
+      val table = intercept[IllegalArgumentException](provider.getTable(
+        SegmentSource.Schema, Array.empty, java.util.Map.of("path", dir)))
+      assert(table.getMessage == message, format)
+    }
     // The raw form needs no catalog.
     assert(spark.read.format(SegmentSource.FormatName).load(dir).count() == 100)
   }

@@ -101,7 +101,7 @@ class SegmentViewPushDownSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   test("WHERE on a dimension column pushes exactly the Gids of the member's groups") {
     ModelarDB.registerViews(spark, built.cfg, built.catalog)
     val cat  = built.catalog
-    val gids = cat.gidsForMember("Measure", 1, "power")
+    val gids = cat.gidsForTids(cat.tidsForMember("Measure", 1, "power"))
     assert(gids.nonEmpty && gids.size < cat.groups.length)
     val sql =
       s"SELECT SUM_S($a) AS s, COUNT_S($a) AS n FROM segment_view WHERE measure_category = 'power'"
@@ -130,8 +130,9 @@ class SegmentViewPushDownSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     }
     Seq(("Measure", 1, "nowhere"), ("Nowhere", 1, "power"), ("Measure", 9, "power")).foreach {
       case (dim, level, member) =>
-        assert(SegmentView.forMember(spark, built.cfg.storePath, built.catalog,
-                                     dim, level, member).count() == 0, s"$dim $level $member")
+        assert(ModelarDB.segmentView(spark, built.cfg, built.catalog,
+                 tids = Some(built.catalog.tidsForMember(dim, level, member))).count() == 0,
+               s"$dim $level $member")
     }
   }
 
@@ -166,14 +167,17 @@ class SegmentViewPushDownSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val gone = cat.groups.head
     val partial = Catalog(cat.series.filterNot(s => gone.tids.contains(s.tid)),
                           cat.groups.tail, cat.dims)
-    val e = intercept[SparkException](
-      ModelarDB.segmentView(spark, built.cfg, partial).count())
-    assert(e.getMessage.contains(s"holds gid ${gone.gid}, which is not a group of the catalog"),
-           e.getMessage)
-    assert(SegmentSource.listFiles(built.cfg.storePath)
-             .exists(f => e.getMessage.contains(f.getAbsolutePath)), e.getMessage)
-    // Groups the catalog knows are still readable.
-    val kept = cat.groups(1).tids.head
-    assert(ModelarDB.segmentView(spark, built.cfg, partial, tids = Some(Seq(kept))).count() > 0)
+    SegmentSource.writeCatalog(built.cfg.storePath, partial)
+    try {
+      val e = intercept[SparkException](
+        ModelarDB.segmentView(spark, built.cfg, partial).count())
+      assert(e.getMessage.contains(s"holds gid ${gone.gid}, which is not a group of the catalog"),
+             e.getMessage)
+      assert(SegmentSource.listFiles(built.cfg.storePath)
+               .exists(f => e.getMessage.contains(f.getAbsolutePath)), e.getMessage)
+      // Groups the catalog knows are still readable.
+      val kept = cat.groups(1).tids.head
+      assert(ModelarDB.segmentView(spark, built.cfg, partial, tids = Some(Seq(kept))).count() > 0)
+    } finally SegmentSource.writeCatalog(built.cfg.storePath, cat)
   }
 }

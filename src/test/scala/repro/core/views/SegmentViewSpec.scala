@@ -63,9 +63,9 @@ class SegmentViewSpec extends SparkSpec {
     assert(view.filter(col("start_time") > to).count() > 0, "sanity: data beyond range exists")
   }
 
-  test("forMember restricts to series carrying the member") {
-    val sv   = SegmentView.forMember(spark, built.cfg.storePath, built.catalog,
-                                     "Measure", 1, "power")
+  test("a member's tids restrict the view to the series carrying it") {
+    val sv   = ModelarDB.segmentView(spark, built.cfg, built.catalog,
+                                     tids = Some(built.catalog.tidsForMember("Measure", 1, "power")))
     val tids = sv.select("tid").distinct().collect().map(_.getInt(0)).toSet
     val expected = built.catalog.series
       .filter(_.dims("Measure")(0) == "power").map(_.tid).toSet
