@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{FloatType, IntegerType, LongType}
 import scala.collection.mutable.ArrayBuffer
@@ -10,12 +10,12 @@ import repro.core.Types._
 import repro.core.golemm.{Compressor, GolemmConfig}
 import repro.core.grouping._
 import repro.core.storage.SegmentSource
-import repro.core.views.{SegmentView, TimeCube, Udafs}
+import repro.core.views.{TimeCube, Udafs}
 
 /** End-to-end ModelarDB+ on Spark: static grouping and partitioning on the
   * driver (the paper's master, Figure 3a), GOLEMM compression of each group
   * inside one task (Figure 3b), segment writes straight to the group store
-  * through its one committed write, and the two query views.
+  * through its one write, and the two query views.
   */
 object ModelarDB {
 
@@ -47,9 +47,6 @@ object ModelarDB {
       wallNanos: Long,
       storeBytes: Long,
   )
-
-  /** Built once: deriving a product encoder reflects over the class. */
-  private lazy val SegmentEncoder = Encoders.product[SegmentRecord]
 
   /** Group and partition the series before ingestion begins (Figure 8):
     * apply the correlation clauses (Algorithm 1), resolve scaling rules, and
@@ -87,19 +84,23 @@ object ModelarDB {
     * for a group with over `Compressor.ChunkPoints` points), keyed and sorted
     * by gid. A task then gathers each group's chunks, aligns them into ticks
     * and compresses them with GOLEMM, and the segments go directly to
-    * storage (Table I's bulk-loading path) through the store's DataSourceV2
-    * write: one file per task, visible only once the whole ingest commits.
+    * storage (Table I's bulk-loading path) through
+    * [[SegmentSource.append]]: each task writes one file of its segments,
+    * and the files become visible only once the whole ingest succeeds.
     * A point with a null field, points of a tid that is not in the catalog,
     * duplicate `(tid, ts)` points and a group spanning 2^57 ms or more fail
     * it.
     * The first ingest writes `setup.catalog` into the store for the views to
-    * read; one with another catalog fails before any task runs.
+    * read, and removes it again if it fails; one with another catalog fails
+    * before any task runs.
     */
   def ingest(spark: SparkSession, cfg: Config, setup: Setup, points: DataFrame): IngestStats = {
     val t0      = System.nanoTime()
     val catalog = setup.catalog
-    SegmentSource.storedCatalog(cfg.storePath).fold(SegmentSource.writeCatalog(cfg.storePath, catalog))(
-      requireSame(cfg.storePath, _, catalog))
+    val created = SegmentSource.storedCatalog(cfg.storePath) match {
+      case Some(stored) => requireSame(cfg.storePath, stored, catalog); false
+      case None         => SegmentSource.writeCatalog(cfg.storePath, catalog); true
+    }
     val golemm  = cfg.golemm
     val chunker = new Compressor.Chunker(catalog.groups)
 
@@ -126,8 +127,8 @@ object ModelarDB {
         segs
       }
     }
-    spark.createDataset(segments)(SegmentEncoder).toDF(SegmentSource.Schema.fieldNames.toSeq: _*)
-      .write.format(SegmentSource.FormatName).mode("append").save(cfg.storePath)
+    try SegmentSource.append(cfg.storePath, segments)
+    catch { case e: Throwable if created => SegmentSource.deleteCatalog(cfg.storePath); throw e }
 
     val agg = groupStats.value.asScala.foldLeft(Compressor.GroupStats.zero)(_ merge _)
     IngestStats(
@@ -163,7 +164,7 @@ object ModelarDB {
                   tids: Option[Seq[Int]] = None,
                   timeRange: Option[(Long, Long)] = None): DataFrame = {
     requireSame(cfg.storePath, SegmentSource.catalogOf(cfg.storePath), catalog)
-    val sv = SegmentView(spark, cfg.storePath)
+    val sv = spark.read.format(SegmentSource.ViewFormatName).load(cfg.storePath)
     val ofTids = tids.fold(sv)(ts => sv.filter(col("tid").isin(ts: _*)))
     timeRange.fold(ofTids) { case (from, to) =>
       ofTids.filter(col("end_time") >= from && col("start_time") <= to)

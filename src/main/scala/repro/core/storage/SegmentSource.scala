@@ -8,12 +8,12 @@ import scala.collection.mutable.ArrayBuffer
 
 import com.fasterxml.jackson.databind.json.JsonMapper
 import com.fasterxml.jackson.module.scala.DefaultScalaModule
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.connector.catalog.{SupportsRead, SupportsWrite, Table, TableCapability, TableProvider}
+import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
 import org.apache.spark.sql.connector.expressions.Transform
 import org.apache.spark.sql.connector.read._
-import org.apache.spark.sql.connector.write._
 import org.apache.spark.sql.sources._
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
@@ -30,9 +30,9 @@ import repro.core.model.ModelType
   * one per format name (`spark.read.format(<format name>).load(path)`):
   *
   *  - [[SegmentSource.FormatName]], the raw segments, [[SegmentSource.Schema]]
-  *    (paper Figure 6). Segments reach the store only through this schema's
-  *    batch write (`df.write.format(FormatName).mode("append").save(path)`),
-  *    whose files become visible together when the job commits.
+  *    (paper Figure 6). Segments reach the store only through
+  *    [[SegmentSource.append]], whose files become visible together once its
+  *    job has succeeded.
   *  - [[SegmentSource.ViewFormatName]], the paper's Segment View (Section
   *    VI-A): each segment is exploded into one row per member its Gaps
   *    bitmask marks present, carrying the member's Tid, its position
@@ -149,6 +149,9 @@ object SegmentSource {
     Files.move(tmp, dir.resolve(CatalogFile), StandardCopyOption.ATOMIC_MOVE)
   }
 
+  /** Remove the store's catalog, if any. */
+  private[core] def deleteCatalog(path: String): Unit = Files.deleteIfExists(Paths.get(path, CatalogFile))
+
   /** Bounds extracted from pushed filters; evaluated against file headers
     * (skip) and rows (filter).
     */
@@ -260,7 +263,8 @@ object SegmentSource {
   }
 
   /** Encode `segments` into one new `.sgmt` file in the existing directory
-    * `dir`. Only the DataSourceV2 writer calls it, with its staging directory.
+    * `dir`; it never creates `dir`. [[append]]'s tasks call it with their
+    * staging directory.
     */
   private[storage] def writeFile(dir: String, segments: Seq[SegmentRecord]): File = {
     val f = new File(dir, s"part-${UUID.randomUUID().toString.take(12)}.sgmt")
@@ -268,34 +272,50 @@ object SegmentSource {
     f
   }
 
+  /** The store's one write, in one Spark job: each task encodes its
+    * partition's segments, if any, into one file under
+    * `<path>/_staging/<id>/` and returns its name, and the driver then moves
+    * the returned files into the store. Readers list only top-level `.sgmt`
+    * files, so they see the files only once every task has succeeded. Files
+    * of failed or duplicate task attempts are never returned and go with the
+    * staging directory, which is removed whether the job succeeds or fails.
+    */
+  def append(path: String, segments: RDD[SegmentRecord]): Unit = {
+    val root    = Paths.get(path, "_staging")
+    // Created before any task runs, so a task that outlives a failed job
+    // fails to write instead of re-creating the directory.
+    val staging = Files.createDirectories(root.resolve(UUID.randomUUID().toString)).toString
+    try {
+      segments.mapPartitions { it =>
+        if (it.hasNext) Iterator.single(writeFile(staging, it.toIndexedSeq).getName) else Iterator.empty
+      }.collect().foreach(name =>
+        Files.move(Paths.get(staging, name), Paths.get(path, name), StandardCopyOption.ATOMIC_MOVE))
+    } finally {
+      Option(new File(staging).listFiles()).foreach(_.foreach(_.delete()))
+      Files.deleteIfExists(Paths.get(staging))
+      // Another write's staging directory keeps `_staging` alive.
+      try Files.deleteIfExists(root) catch { case _: DirectoryNotEmptyException => () }
+    }
+  }
+
   /** Total size of a store's `.sgmt` files in bytes. */
   def storeBytes(path: String): Long = listFiles(path).map(_.length()).sum
 
   private[storage] def toRow(s: SegmentRecord): InternalRow =
     new GenericInternalRow(Array[Any](s.gid, s.startTime, s.endTime, s.si, s.mid, s.params, s.gaps))
-
-  private[storage] def fromRow(r: InternalRow): SegmentRecord =
-    SegmentRecord(r.getInt(0), r.getLong(1), r.getLong(2), r.getInt(3), r.getInt(4),
-                  r.getBinary(5), r.getLong(6))
 }
 
 // ---- table -----------------------------------------------------------------
 
 private final class SegmentTable(path: String, form: SegmentSource.Form)
-    extends Table with SupportsRead with SupportsWrite {
+    extends Table with SupportsRead {
   override def name(): String          = s"segments(`$path`)"
   override def schema(): StructType    = SegmentSource.schemaOf(form)
   override def capabilities(): java.util.Set[TableCapability] =
-    java.util.EnumSet.of(TableCapability.BATCH_READ, TableCapability.BATCH_WRITE)
+    java.util.EnumSet.of(TableCapability.BATCH_READ)
 
   override def newScanBuilder(options: CaseInsensitiveStringMap): ScanBuilder =
     new SegmentScanBuilder(path, form)
-
-  override def newWriteBuilder(info: LogicalWriteInfo): WriteBuilder = new WriteBuilder {
-    override def build(): Write = new Write {
-      override def toBatch: BatchWrite = new SegmentBatchWrite(path, info.queryId())
-    }
-  }
 }
 
 // ---- read ------------------------------------------------------------------
@@ -417,59 +437,4 @@ private final class MemberRows(catalog: Catalog) {
       }
     }
   }
-}
-
-// ---- write -----------------------------------------------------------------
-
-/** The store's one write path. Each task encodes its rows into one file under
-  * `<store>/_staging/<queryId>/`; the job commit moves the files named in the
-  * commit messages into the store, so readers, which list only top-level
-  * `.sgmt` files, see a job's files only once it has committed. Files of
-  * failed or duplicate task attempts are never named and are deleted with
-  * the staging directory, on commit and on abort alike.
-  */
-private final class SegmentBatchWrite(path: String, queryId: String) extends BatchWrite {
-  private val root    = Paths.get(path, "_staging")
-  private val staging = root.resolve(queryId)
-
-  // Created here, before any task runs, so a task that outlives an abort
-  // fails to write instead of re-creating the directory.
-  override def createBatchWriterFactory(info: PhysicalWriteInfo): DataWriterFactory = {
-    Files.createDirectories(staging)
-    new SegmentWriterFactory(staging.toString)
-  }
-
-  override def commit(messages: Array[WriterCommitMessage]): Unit = {
-    messages.foreach {
-      case SegmentWriteCommit(file) if file.nonEmpty =>
-        val src = Paths.get(file)
-        Files.move(src, Paths.get(path, src.getFileName.toString), StandardCopyOption.ATOMIC_MOVE)
-      case _ => ()
-    }
-    removeStaging()
-  }
-
-  override def abort(messages: Array[WriterCommitMessage]): Unit = removeStaging()
-
-  private def removeStaging(): Unit = {
-    Option(staging.toFile.listFiles()).foreach(_.foreach(_.delete()))
-    Files.deleteIfExists(staging)
-    // Another write's staging directory keeps `_staging` alive.
-    try Files.deleteIfExists(root) catch { case _: DirectoryNotEmptyException => () }
-  }
-}
-
-private final case class SegmentWriteCommit(file: String) extends WriterCommitMessage
-
-private final class SegmentWriterFactory(stagingDir: String) extends DataWriterFactory {
-  override def createWriter(partitionId: Int, taskId: Long): DataWriter[InternalRow] =
-    new DataWriter[InternalRow] {
-      private val buf = ArrayBuffer.empty[SegmentRecord]
-      override def write(record: InternalRow): Unit = buf += SegmentSource.fromRow(record)
-      override def commit(): WriterCommitMessage =
-        if (buf.isEmpty) SegmentWriteCommit("")
-        else SegmentWriteCommit(SegmentSource.writeFile(stagingDir, buf.toSeq).getAbsolutePath)
-      override def abort(): Unit = ()
-      override def close(): Unit = ()
-    }
 }

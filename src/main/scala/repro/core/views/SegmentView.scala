@@ -1,10 +1,8 @@
 package repro.core.views
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import scala.reflect.runtime.universe.TypeTag
-
-import repro.core.storage.SegmentSource
 
 /** The paper's Segment View (Section VI-A): segments from the group store
   * joined with the denormalised Time Series table, one row per represented
@@ -12,7 +10,8 @@ import repro.core.storage.SegmentSource
   * gaps, sidx, nseries, scaling, <dimension columns>)`.
   *
   * The store's scan produces these rows itself from the catalog the store
-  * holds (see [[SegmentSource]]). `sidx`/`nseries` locate the series inside the
+  * holds (see [[repro.core.storage.SegmentSource]]), and
+  * `ModelarDB.segmentView` opens it. `sidx`/`nseries` locate the series inside the
   * segment's parameter blob. Queries and results use Tids and dimension
   * members only: a filter on `tid` or on a dimension column is rewritten to
   * the Gids of the matching series' groups and pushed to the segment store
@@ -42,8 +41,4 @@ object SegmentView {
   private[views] def passThrough(segView: DataFrame): Seq[String] =
     segView.columns.toSeq.filterNot(c =>
       SegFields.contains(c) || c == "gaps" || c == "gid")
-
-  /** The Segment View over the store at `storePath`. */
-  def apply(spark: SparkSession, storePath: String): DataFrame =
-    spark.read.format(SegmentSource.ViewFormatName).load(storePath)
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import java.nio.file.Files
+import java.nio.file.{Files, Paths}
 import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
 
@@ -107,7 +107,37 @@ class ModelarDBSpec extends SparkSpec with Eventually {
       assert(e.getMessage.contains(s"a point with a null $column cannot be ingested"), e.getMessage)
       assert(SegmentSource.listFiles(cfg.storePath).isEmpty)
       assert(!new java.io.File(cfg.storePath, "_staging").exists())
+      assert(!new java.io.File(cfg.storePath, "catalog.json").exists())
     }
+  }
+
+  test("a failed second ingest keeps the first ingest's catalog and files") {
+    val ds      = TimeSeriesGen.epLike(spark, sf = 0.001, gapProb = 0.0, seed = 98)
+    val cfg     = ModelarDB.Config(storePath = Stores.tmpDir("second"), numPartitions = 4)
+    val setup   = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Seq(Correlation.Auto()))
+    ModelarDB.ingest(spark, cfg, setup, ds.points)
+    val catalog = Files.readAllBytes(Paths.get(cfg.storePath, "catalog.json"))
+    val files   = SegmentSource.listFiles(cfg.storePath)
+    val unknown = ds.series.map(_.tid).max + 1
+    val e = intercept[org.apache.spark.SparkException](
+      ModelarDB.ingest(spark, cfg, setup, ds.points.limit(1).withColumn("tid", lit(unknown))))
+    assert(e.getMessage.contains(s"tid $unknown is not a series of this store"), e.getMessage)
+    assert(Files.readAllBytes(Paths.get(cfg.storePath, "catalog.json")).sameElements(catalog))
+    assert(SegmentSource.listFiles(cfg.storePath) == files)
+    assert(!new java.io.File(cfg.storePath, "_staging").exists())
+  }
+
+  test("ingesting no points writes the catalog and no segment file") {
+    val ds    = TimeSeriesGen.epLike(spark, sf = 0.001, gapProb = 0.0, seed = 98)
+    val cfg   = ModelarDB.Config(storePath = Stores.tmpDir("empty"), numPartitions = 4)
+    val setup = ModelarDB.setup(spark, cfg, ds.series, ds.dims, Seq(Correlation.Auto()))
+    val stats = ModelarDB.ingest(spark, cfg, setup, ds.points.limit(0))
+    assert(stats.points == 0L && stats.segments == 0L)
+    assert(new java.io.File(cfg.storePath, "catalog.json").exists())
+    assert(SegmentSource.listFiles(cfg.storePath).isEmpty)
+    assert(!new java.io.File(cfg.storePath, "_staging").exists())
+    assert(ModelarDB.segmentView(spark, cfg, setup.catalog).count() == 0L)
+    assert(ModelarDB.dataPointView(spark, cfg, setup.catalog).count() == 0L)
   }
 
   test("ingest writes one file per non-empty planned partition, holding exactly its gids") {

@@ -27,13 +27,9 @@ class SegmentSourceSpec extends SparkSpec {
     assert(row.getAs[Array[Byte]]("params").length == 4)
   }
 
-  test("DataSourceV2 write path appends files readable back") {
+  test("write path appends files readable back") {
     val dir = Stores.tmpDir("sgmt-test")
-    val df  = spark.createDataFrame(
-      spark.sparkContext.parallelize(segments.map(s =>
-        org.apache.spark.sql.Row(s.gid, s.startTime, s.endTime, s.si, s.mid, s.params, s.gaps)), 4),
-      SegmentSource.Schema)
-    df.write.format(SegmentSource.FormatName).mode("append").save(dir)
+    SegmentSource.append(dir, spark.sparkContext.parallelize(segments, 4))
     assert(SegmentSource.listFiles(dir).nonEmpty)
     val back = spark.read.format(SegmentSource.FormatName).load(dir)
     assert(back.count() == 100)
@@ -41,25 +37,21 @@ class SegmentSourceSpec extends SparkSpec {
            segments.map(_.endTime).sum)
   }
 
-  test("a failed DataSourceV2 write leaves no file in the store and no staging") {
+  test("a failed write leaves no file in the store and no staging") {
     val dir     = Stores.tmpDir("sgmt-test")
     val staging = new java.io.File(dir, "_staging")
     val staged  = () => Option(staging.listFiles()).toSeq.flatten
       .flatMap(d => Option(d.listFiles()).toSeq.flatten).length
-    val rows = spark.sparkContext.parallelize(segments, 4).mapPartitionsWithIndex { (p, it) =>
-      val rs = it.map(s => org.apache.spark.sql.Row(
-        s.gid, s.startTime, s.endTime, s.si, s.mid, s.params, s.gaps))
-      if (p < 3) rs
-      else rs.take(5) ++ Iterator.single(()).map { _ =>
+    val segs = spark.sparkContext.parallelize(segments, 4).mapPartitionsWithIndex { (p, it) =>
+      if (p < 3) it
+      else it.take(5) ++ Iterator.single(()).map { _ =>
         // fail only once the other partitions' files are staged
         val deadline = System.nanoTime() + 20000000000L
         while (staged() < 3 && System.nanoTime() < deadline) Thread.sleep(10)
         throw new IllegalStateException(s"injected failure after ${staged()} staged files")
       }
     }
-    val e = intercept[org.apache.spark.SparkException](
-      spark.createDataFrame(rows, SegmentSource.Schema)
-        .write.format(SegmentSource.FormatName).mode("append").save(dir))
+    val e = intercept[org.apache.spark.SparkException](SegmentSource.append(dir, segs))
     assert(e.getMessage.contains("after 3 staged files"), e.getMessage)
     assert(SegmentSource.listFiles(dir).isEmpty)
     assert(!staging.exists())
