@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+
 import repro.core.Types.{Group, TimeSeriesMeta}
 import repro.core.grouping.{DimensionSpec, Dimensions}
 
@@ -7,8 +9,8 @@ import repro.core.grouping.{DimensionSpec, Dimensions}
   * (see [[repro.core.storage.SegmentSource]]): the paper's Time Series table
   * (Tid → SI, Scaling, Gid, denormalized dimensions) plus the group
   * membership needed to map query Tids to stored Gids (paper Section VI-B).
-  * Small (O(#series)) and shipped to executors inside task closures, mirroring
-  * the paper's in-memory dimension cache.
+  * Small (O(#series)) and kept on the driver, mirroring the paper's in-memory
+  * dimension cache; tasks get the compact [[GroupTable]] built from it.
   *
   * Construction checks the invariants ingestion relies on: unique tids and
   * gids, a positive SI and a finite non-zero scaling per series, at most 64
@@ -75,5 +77,47 @@ final case class Catalog(
     dimColumns.map { case (_, dim, lvl) =>
       meta.dims.get(dim).flatMap(_.lift(lvl)).orNull
     }
+  }
+}
+
+/** The columns of each group that tasks read, built once on the driver from
+  * a [[Catalog]] and shipped in its place: a group's members in sorted-tid
+  * order (the order of the Gaps bitmask), their scaling constants and the
+  * group's SI and, for the views' readers, the members' dimension values,
+  * aligned with [[Catalog.dimColumns]]. Each array is indexed by the group's
+  * [[slot]]. Equal dimension values are one object, so a table serialises
+  * each once.
+  */
+final class GroupTable private (
+    gids: Array[Int],
+    val tids: Array[Array[Int]],
+    val scalings: Array[Array[Double]],
+    val sis: Array[Int],
+    val dims: Array[Array[Array[String]]],
+) extends Serializable {
+
+  /** The number of groups. */
+  def size: Int = gids.length
+
+  /** The slot of group `gid`, or -1 if it is not a group of the catalog. */
+  def slot(gid: Int): Int = math.max(java.util.Arrays.binarySearch(gids, gid), -1)
+}
+
+object GroupTable {
+
+  /** The table of `catalog`'s groups, with the members' dimension values if
+    * `withDims`, else with none.
+    */
+  def apply(catalog: Catalog, withDims: Boolean): GroupTable = {
+    val groups = catalog.groups.sortBy(_.gid)
+    val shared = mutable.HashMap.empty[String, String]
+    new GroupTable(
+      groups.map(_.gid).toArray,
+      groups.map(_.tids.toArray).toArray,
+      groups.map(_.tids.map(catalog.byTid(_).scaling).toArray).toArray,
+      groups.map(g => catalog.byTid(g.tids.head).si).toArray,
+      if (!withDims) Array.empty
+      else groups.map(_.tids.map(catalog.dimValues(_).map(v =>
+        if (v == null) null else shared.getOrElseUpdate(v, v)).toArray).toArray).toArray)
   }
 }

@@ -82,9 +82,11 @@ object ModelarDB {
     * points: each map task reads its input rows as they arrive, appends each
     * point to its group's buffers and emits one `GroupChunk` per group (more
     * for a group with over `Compressor.ChunkPoints` points), keyed and sorted
-    * by gid. A task then gathers each group's chunks, aligns them into ticks
-    * and compresses them with GOLEMM, and the segments go directly to
-    * storage (Table I's bulk-loading path) through
+    * by gid. A task then gathers each group's chunks, aligns them into one
+    * flat buffer of ticks and compresses them with GOLEMM, reading the
+    * group's members, scalings and SI from a [[GroupTable]] that the driver
+    * builds once and the tasks get instead of the catalog. The segments go
+    * directly to storage (Table I's bulk-loading path) through
     * [[SegmentSource.append]]: each task writes one file of its segments,
     * and the files become visible only once the whole ingest succeeds.
     * A point with a null field, points of a tid that is not in the catalog,
@@ -103,6 +105,7 @@ object ModelarDB {
     }
     val golemm  = cfg.golemm
     val chunker = new Compressor.Chunker(catalog.groups)
+    val groups  = GroupTable(catalog, withDims = false)
 
     val chunks = points
       .select(col("tid").cast(IntegerType), col("ts").cast(LongType), col("value").cast(FloatType))
@@ -117,12 +120,10 @@ object ModelarDB {
         val gid      = it.head._1
         val group    = ArrayBuffer.empty[GroupChunk]
         while (it.hasNext && it.head._1 == gid) group += it.next()._2
-        val members  = catalog.membersOf(gid)
-        val scalings = members.map(t => catalog.byTid(t).scaling).toArray
-        val si       = catalog.byTid(members.head).si
-        val ticks    = Compressor.ticksFromChunks(members.toArray, group.toSeq, gid)
-        val (segs, st) =
-          Compressor.compressGroup(gid, members.length, si, scalings, ticks, golemm)
+        val g        = groups.slot(gid)
+        val ticks    = Compressor.ticksFromChunks(groups.tids(g), group.toSeq, gid)
+        val (segs, st) = Compressor.compressGroup(gid, groups.tids(g).length, groups.sis(g),
+                                                  groups.scalings(g), ticks, golemm)
         groupStats.add(st)
         segs
       }

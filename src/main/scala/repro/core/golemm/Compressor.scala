@@ -4,7 +4,7 @@ import scala.collection.mutable.ArrayBuffer
 import org.apache.spark.sql.catalyst.InternalRow
 import repro.core.Types.{Group, GroupChunk, SegmentRecord}
 
-/** Assembles a group's aligned tick stream and feeds it to
+/** Assembles a group's aligned ticks and feeds them to
   * [[SplitManager]], which runs GOLEMM for the group and counts the
   * statistics the evaluation reports (segment/model-type counts, dynamic
   * split/merge overhead).
@@ -43,18 +43,123 @@ object Compressor {
     val zero: GroupStats = GroupStats(-1, 0, 0, 0, Map.empty, 0, 0, 0, 0, 0)
   }
 
+  /** A group's aligned ticks in flat arrays, whose lengths grow with the
+    * group's points, not with its ticks × members: tick k, for k below
+    * `length`, is at `ts(k)`, its present members are the set bits of
+    * `present(k)` (bit i for the member at sorted-tid position i; a member
+    * with no point at the tick, or with a NaN value, is in a gap there), and
+    * their values, in position order, follow those of tick k − 1 in `values`.
+    */
+  final class Ticks(val length: Int, val ts: Array[Long], val present: Array[Long],
+                    val values: Array[Float], val nMembers: Int) {
+
+    /** Each tick as `(ts, one value per member)`, NaN for a member in a gap. */
+    def rows: Iterator[(Long, Array[Float])] = new Iterator[(Long, Array[Float])] {
+      private var k  = 0
+      private var at = 0
+      override def hasNext: Boolean = k < Ticks.this.length
+      override def next(): (Long, Array[Float]) = {
+        val row  = new Array[Float](nMembers)
+        java.util.Arrays.fill(row, Float.NaN)
+        var rest = present(k)
+        while (rest != 0) {
+          row(java.lang.Long.numberOfTrailingZeros(rest)) = values(at)
+          at += 1
+          rest &= rest - 1
+        }
+        k += 1
+        (ts(k - 1), row)
+      }
+    }
+  }
+
+  object Ticks {
+    /** The flat form of `rows`, one array of `nMembers` values per tick. */
+    def of(nMembers: Int, rows: Iterator[(Long, Array[Float])]): Ticks = {
+      val all     = rows.toArray
+      val ts      = new Array[Long](all.length)
+      val present = new Array[Long](all.length)
+      var n = 0
+      var k = 0
+      while (k < all.length) {
+        val row = all(k)._2
+        if (row.length != nMembers)
+          throw new IllegalArgumentException(s"expected $nMembers values, got ${row.length}")
+        var i = 0
+        while (i < nMembers) {
+          if (!row(i).isNaN) { present(k) |= 1L << i; n += 1 }
+          i += 1
+        }
+        ts(k) = all(k)._1
+        k += 1
+      }
+      val values = new Array[Float](n)
+      var at = 0
+      k = 0
+      while (k < all.length) {
+        var rest = present(k)
+        while (rest != 0) {
+          values(at) = all(k)._2(java.lang.Long.numberOfTrailingZeros(rest))
+          at += 1
+          rest &= rest - 1
+        }
+        k += 1
+      }
+      new Ticks(all.length, ts, present, values, nMembers)
+    }
+  }
+
   /** Compress one group.
     *
     * @param gid      group id
     * @param nMembers number of series in the group (sorted-tid order)
     * @param si       sampling interval in ms
     * @param scalings per-member scaling constants C_TS; raw values are divided
-    *                 by them before fitting and multiplied back at query time
-    *                 (paper Section III-C)
-    * @param ticks    aligned tick stream: (timestamp, one value per member,
-    *                 NaN = the member is in a gap). Timestamps must be
-    *                 strictly increasing multiples of `si` apart.
+    *                 by them before fitting, in place in `ticks.values`, and
+    *                 multiplied back at query time (paper Section III-C)
+    * @param ticks    the group's aligned ticks. Timestamps must be strictly
+    *                 increasing multiples of `si` apart.
     * @return emitted segments plus ingestion stats
+    */
+  def compressGroup(
+      gid: Int,
+      nMembers: Int,
+      si: Int,
+      scalings: Array[Double],
+      ticks: Ticks,
+      cfg: GolemmConfig,
+  ): (Seq[SegmentRecord], GroupStats) = {
+    require(scalings.length == nMembers && ticks.nMembers == nMembers,
+            "one scaling constant and tick value slot per member required")
+    val t0      = System.nanoTime()
+    val manager = new SplitManager(gid, nMembers, si, cfg)
+    val out     = ArrayBuffer.empty[SegmentRecord]
+    val allOne  = scalings.forall(_ == 1.0)
+    val values  = ticks.values
+    var at = 0
+    var k  = 0
+    while (k < ticks.length) {
+      val present = ticks.present(k)
+      if (!allOne) {
+        var rest = present
+        var i    = at
+        while (rest != 0) {
+          values(i) = (values(i) / scalings(java.lang.Long.numberOfTrailingZeros(rest))).toFloat
+          i += 1
+          rest &= rest - 1
+        }
+      }
+      val segs = manager.consume(ticks.ts(k), present, values, at)
+      if (segs.nonEmpty) out ++= segs
+      at += java.lang.Long.bitCount(present)
+      k += 1
+    }
+    out ++= manager.close()
+    (out.toSeq, manager.stats.copy(totalNanos = System.nanoTime() - t0))
+  }
+
+  /** [[compressGroup]] of ticks given as `(ts, one value per member)`, NaN
+    * for a member in a gap, as [[Ticks.rows]] gives them.
     */
   def compressGroup(
       gid: Int,
@@ -63,30 +168,8 @@ object Compressor {
       scalings: Array[Double],
       ticks: Iterator[(Long, Array[Float])],
       cfg: GolemmConfig,
-  ): (Seq[SegmentRecord], GroupStats) = {
-    require(scalings.length == nMembers, "one scaling constant per member required")
-    val t0      = System.nanoTime()
-    val manager = new SplitManager(gid, nMembers, si, cfg)
-    val out     = ArrayBuffer.empty[SegmentRecord]
-    val allOne  = scalings.forall(_ == 1.0)
-
-    ticks.foreach { case (ts, values) =>
-      val scaled =
-        if (allOne) values
-        else {
-          val v = new Array[Float](nMembers)
-          var i = 0
-          while (i < nMembers) {
-            v(i) = if (values(i).isNaN) Float.NaN else (values(i) / scalings(i)).toFloat
-            i += 1
-          }
-          v
-        }
-      out ++= manager.consume(ts, scaled)
-    }
-    out ++= manager.close()
-    (out.toSeq, manager.stats.copy(totalNanos = System.nanoTime() - t0))
-  }
+  ): (Seq[SegmentRecord], GroupStats) =
+    compressGroup(gid, nMembers, si, scalings, Ticks.of(nMembers, ticks), cfg)
 
   /** Points per [[GroupChunk]] at most, so an ingest map task's buffers stay
     * bounded however many points of one group it reads.
@@ -163,10 +246,11 @@ object Compressor {
     }
   }
 
-  /** Build the aligned tick stream for a group from per-point rows
-    * `(ts, tid, value)` in any order: a wrapper over [[ticksFromChunks]].
-    * `tids` must be the group's members in sorted order; rows with tids
-    * outside the group are rejected. `gid` only names the group in errors.
+  /** Build the aligned ticks of a group from per-point rows `(ts, tid,
+    * value)` in any order, as [[Ticks.rows]]: a wrapper over
+    * [[ticksFromChunks]]. `tids` must be the group's members in sorted order;
+    * rows with tids outside the group are rejected. `gid` only names the
+    * group in errors.
     */
   def ticksFromSortedPoints(
       tids: IndexedSeq[Int],
@@ -182,19 +266,21 @@ object Compressor {
       if (p < 0) sys.error(s"tid $tid is not a member of group $gid")
       ts += t; pos += p.toByte; values += v
     }
-    ticksFromChunks(members, Seq(GroupChunk(gid, ts.result(), pos.result(), values.result())), gid)
+    ticksFromChunks(members, Seq(GroupChunk(gid, ts.result(), pos.result(), values.result())), gid).rows
   }
 
   /** The tick assembler: aligns the points of group `gid`, given as chunks
-    * in any order, into ticks of ascending timestamp with NaN for a missing
-    * member. `tids` are the group's members, sorted; a chunk's `pos` indexes
-    * them. Each point becomes the key `((ts - tsMin) << 6) | pos`, and one
-    * stable natural merge sort orders keys and values together; it is near
-    * linear because each member's points mostly arrive as a run in ts order.
-    * A second point for the same `(tid, ts)` is rejected, and so is a group
-    * whose points span 2^57 ms or more, which the key cannot hold.
+    * in any order, into [[Ticks]] of ascending timestamp. `tids` are the
+    * group's members, sorted; a chunk's `pos` indexes them. Each point
+    * becomes the key `((ts - tsMin) << 6) | pos`, and one stable natural
+    * merge sort orders keys and values together; it is near linear because
+    * each member's points mostly arrive as a run in ts order. The sorted
+    * arrays then become the ticks in place: a tick's values are its points'
+    * values in member order, less the NaNs, which are gaps. A second point
+    * for the same `(tid, ts)` is rejected, and so is a group whose points
+    * span 2^57 ms or more, which the key cannot hold.
     */
-  def ticksFromChunks(tids: Array[Int], chunks: Seq[GroupChunk], gid: Int): Iterator[(Long, Array[Float])] = {
+  def ticksFromChunks(tids: Array[Int], chunks: Seq[GroupChunk], gid: Int): Ticks = {
     val n = chunks.iterator.map(_.ts.length).sum
     var tsMin = Long.MaxValue
     var tsMax = Long.MinValue
@@ -221,24 +307,36 @@ object Compressor {
     }
     val (sorted, sortedVals) = sortByKey(keys, vals)
 
-    new Iterator[(Long, Array[Float])] {
-      private var i = 0
-      override def hasNext: Boolean = i < n
-      override def next(): (Long, Array[Float]) = {
-        val tick   = sorted(i) >>> 6
-        val values = new Array[Float](tids.length)
-        java.util.Arrays.fill(values, Float.NaN)
-        while (i < n && (sorted(i) >>> 6) == tick) {
-          val pos = (sorted(i) & 63).toInt
-          if (i > 0 && sorted(i) == sorted(i - 1))
-            throw new IllegalArgumentException(
-              s"duplicate point in group $gid: tid ${tids(pos)} at ts ${tsMin + tick}")
-          values(pos) = sortedVals(i)
-          i += 1
+    // The ticks overwrite the sorted arrays in place: tick t's timestamp goes
+    // to `sorted(t)` and its kept values to the front of `sortedVals`, both
+    // behind the point being read, since t ticks hold at least t points.
+    val present = new Array[Long](n)
+    var ticks   = 0
+    var kept    = 0
+    var i       = 0
+    while (i < n) {
+      val tick = sorted(i) >>> 6
+      var mask = 0L
+      var prev = -1L
+      while (i < n && (sorted(i) >>> 6) == tick) {
+        val key = sorted(i)
+        val pos = (key & 63).toInt
+        if (key == prev)
+          throw new IllegalArgumentException(
+            s"duplicate point in group $gid: tid ${tids(pos)} at ts ${tsMin + tick}")
+        prev = key
+        if (!sortedVals(i).isNaN) {
+          mask |= 1L << pos
+          sortedVals(kept) = sortedVals(i)
+          kept += 1
         }
-        (tsMin + tick, values)
+        i += 1
       }
+      sorted(ticks) = tsMin + tick
+      present(ticks) = mask
+      ticks += 1
     }
+    new Ticks(ticks, sorted, present, sortedVals, tids.length)
   }
 
   /** Sorts `keys` ascending and moves `vals` with them: a stable natural

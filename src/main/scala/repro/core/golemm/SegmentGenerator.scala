@@ -28,6 +28,8 @@ final case class GolemmConfig(
   * used (paper Section III-A).
   *
   * Invariant between calls: `fitters(cur)` has accepted every buffered tick.
+  * The buffered ticks are rows of `nSeries` values in one growable array,
+  * which the fitters read by offset.
   *
   * @param gid     group id recorded on emitted segments
   * @param nSeries number of active series (values per tick)
@@ -45,7 +47,10 @@ final class SegmentGenerator(
   import SegmentGenerator.MetadataBytes
 
   private val types   = cfg.modelTypes.toIndexedSeq
-  private val buffer  = ArrayBuffer.empty[Array[Float]]
+  // The buffered ticks: tick t's values start at `head + t * nSeries`.
+  private var buf     = new Array[Float](16 * nSeries)
+  private var head    = 0
+  private var ticks   = 0
   private var firstTs = 0L
   private var cur     = 0
   private val fitters = ArrayBuffer[ModelFitter](newFitter(0))
@@ -54,25 +59,36 @@ final class SegmentGenerator(
     types(i).newFitter(nSeries, cfg.epsilonPct, cfg.lengthBound)
 
   /** Number of ticks currently buffered (not yet emitted). */
-  def buffered: Int = buffer.length
+  def buffered: Int = ticks
 
-  /** Buffered values of the series at active-index `s`, oldest first — used
-    * by the dynamic split heuristic (Algorithm 2).
+  /** The buffered value of the series at active-index `s` at buffered tick
+    * `t`, oldest first — read by the dynamic split heuristic (Algorithm 2).
     */
-  def bufferedValues(s: Int): IndexedSeq[Float] = buffer.map(_(s)).toIndexedSeq
+  def bufferedValue(t: Int, s: Int): Float = buf(head + t * nSeries + s)
 
   /** Timestamp the buffer starts at (undefined when empty). */
   def bufferStart: Long = firstTs
 
-  /** Append the values for the next tick at `ts`. The caller guarantees ticks
-    * are contiguous (`ts` advances by exactly `si`). Returns any segments
-    * emitted as a consequence.
+  /** Append the next tick at `ts`, whose values are `values(offset)` to
+    * `values(offset + nSeries - 1)`; they are copied. The caller guarantees
+    * ticks are contiguous (`ts` advances by exactly `si`). Returns any
+    * segments emitted as a consequence.
     */
-  def append(ts: Long, values: Array[Float]): Seq[SegmentRecord] = {
-    require(values.length == nSeries, s"expected $nSeries values, got ${values.length}")
-    if (buffer.isEmpty) firstTs = ts
-    buffer += values
-    if (fitters(cur).append(values)) Nil
+  def append(ts: Long, values: Array[Float], offset: Int): Seq[SegmentRecord] = {
+    if (ticks == 0) { firstTs = ts; head = 0 }
+    if (head + (ticks + 1) * nSeries > buf.length) {
+      // Move the buffered ticks to the front, into a doubled array unless
+      // that leaves this one at most half full.
+      val live = ticks * nSeries
+      val dst  = if (2 * (live + nSeries) <= buf.length) buf else new Array[Float](2 * (live + nSeries))
+      System.arraycopy(buf, head, dst, 0, live)
+      buf = dst
+      head = 0
+    }
+    val at = head + ticks * nSeries
+    System.arraycopy(values, offset, buf, at, nSeries)
+    ticks += 1
+    if (fitters(cur).append(buf, at)) Nil
     else {
       val out = ArrayBuffer.empty[SegmentRecord]
       settle(out)
@@ -85,11 +101,11 @@ final class SegmentGenerator(
     */
   def flush(): Seq[SegmentRecord] = {
     val out = ArrayBuffer.empty[SegmentRecord]
-    while (buffer.nonEmpty) {
+    while (ticks > 0) {
       out += emitBest()
-      if (buffer.nonEmpty) {
+      if (ticks > 0) {
         resetFitters()
-        if (!replayIntoCurrent()) settle(out)
+        if (!replay(fitters(cur))) settle(out)
       }
     }
     resetFitters()
@@ -108,16 +124,13 @@ final class SegmentGenerator(
         cur += 1
         val f = newFitter(cur)
         if (fitters.length <= cur) fitters += f else fitters(cur) = f
-        if (buffer.forall(f.append)) advanced = true
+        if (replay(f)) advanced = true
       }
       if (advanced) ok = true
       else {
         out += emitBest()
-        if (buffer.isEmpty) { resetFitters(); ok = true }
-        else {
-          resetFitters()
-          ok = replayIntoCurrent()
-        }
+        resetFitters()
+        ok = ticks == 0 || replay(fitters(cur))
       }
     }
   }
@@ -128,8 +141,16 @@ final class SegmentGenerator(
     fitters += newFitter(0)
   }
 
-  // Replay the whole buffer into the (fresh) current fitter; true if it all fit.
-  private def replayIntoCurrent(): Boolean = buffer.forall(fitters(cur).append)
+  // Append the buffered ticks to `f` while it accepts them; the number it
+  // accepted.
+  private def fill(f: ModelFitter): Int = {
+    var t = 0
+    while (t < ticks && f.append(buf, head + t * nSeries)) t += 1
+    t
+  }
+
+  // Replay the whole buffer into a fresh fitter; true if it all fit.
+  private def replay(f: ModelFitter): Boolean = fill(f) == ticks
 
   // Pick the fitted model with the best compression (fewest bytes per data
   // point, including per-segment metadata overhead), emit it as a segment and
@@ -151,7 +172,7 @@ final class SegmentGenerator(
       else {
         // No type fitted even one tick: fall back to raw values.
         val fb = Fallback.newFitter(nSeries, cfg.epsilonPct, cfg.lengthBound)
-        buffer.iterator.takeWhile(fb.append).foreach(_ => ())
+        fill(fb)
         (Fallback, fb)
       }
     val len = fitter.length
@@ -164,7 +185,8 @@ final class SegmentGenerator(
       params = fitter.serialize(),
       gaps = gaps,
     )
-    buffer.remove(0, len)
+    head += len * nSeries
+    ticks -= len
     firstTs += len.toLong * si
     seg
   }

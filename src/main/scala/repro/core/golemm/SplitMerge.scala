@@ -10,8 +10,8 @@ import repro.core.model.ModelType
   *
   * The group's members are partitioned into sub-groups, each fitting its own
   * run of ticks with a [[SegmentGenerator]]. A sub-group's run ends whenever
-  * its set of present members changes (a value of `Float.NaN` marks ⊥: the
-  * series is in a gap at that tick) or the ticks stop being contiguous; the
+  * its set of present members changes (a member absent from a tick is ⊥:
+  * the series is in a gap at that tick) or the ticks stop being contiguous; the
   * next run's `Gaps` bitmask names every group member it does not represent,
   * so each emitted segment covers a static set of series. Two heuristics
   * bound the overhead of re-partitioning:
@@ -53,50 +53,55 @@ final class SplitManager(
 
   /** A sub-group: its `members` and, during a run, the `present` ones and
     * the run's generator (null between runs). Both member arrays hold
-    * sorted group positions.
+    * sorted group positions; `mask` and `presentMask` hold the same sets as
+    * bits.
     */
   private final class Sub(val members: Array[Int]) {
+    private val mask          = members.foldLeft(0L)(_ | 1L << _)
+    private val gathered      = new Array[Float](members.length)
+    private var presentMask   = 0L
     var present: Array[Int]   = Array.emptyIntArray
     var gen: SegmentGenerator = _
     private var lastTs        = Long.MinValue
 
     def buffered: Int = if (gen == null) 0 else gen.buffered
 
-    /** Consume the full group's tick. When every group member is present the
-      * generator buffers `values` itself; otherwise it gets one compacted copy.
+    /** Consume the group's tick: `tick` is its present members as bits and
+      * `values(offset)` onwards their values, in member order. When the
+      * sub-group's present members are exactly the tick's, the generator
+      * copies their values from `values`; otherwise they are gathered first.
       */
-    def consume(ts: Long, values: Array[Float]): Seq[SegmentRecord] = {
-      // One pass: count the present members and check they are `present`.
-      var nPresent = 0
-      var same     = gen != null
-      var i = 0
-      while (i < members.length) {
-        if (!values(members(i)).isNaN) {
-          if (same && (nPresent == present.length || present(nPresent) != members(i))) same = false
-          nPresent += 1
-        }
-        i += 1
-      }
+    def consume(ts: Long, tick: Long, values: Array[Float], offset: Int): Seq[SegmentRecord] = {
+      val here     = tick & mask
+      val nPresent = java.lang.Long.bitCount(here)
       points += nPresent
       // Every member gapped: close the run; the next segment starts later.
       if (nPresent == 0) return close()
 
       var closed: Seq[SegmentRecord] = Nil
-      if (!same || nPresent != present.length || ts != lastTs + si) {
+      if (gen == null || here != presentMask || ts != lastTs + si) {
         // The present set changed or the ticks are not contiguous: new run.
         closed = close()
-        present = members.filter(m => !values(m).isNaN)
-        gen = new SegmentGenerator(gid, nPresent, allMembers & ~present.foldLeft(0L)(_ | 1L << _), si, cfg)
+        presentMask = here
+        present = members.filter(m => (here & 1L << m) != 0)
+        gen = new SegmentGenerator(gid, nPresent, allMembers & ~here, si, cfg)
       }
-      val compact =
-        if (nPresent == nMembers) values
+      val emitted =
+        if (here == tick) gen.append(ts, values, offset)
         else {
-          val c = new Array[Float](nPresent)
-          var j = 0
-          while (j < nPresent) { c(j) = values(present(j)); j += 1 }
-          c
+          // The tick's values are in member order: walk its members, keeping
+          // this sub-group's.
+          var rest = tick
+          var at   = offset
+          var j    = 0
+          while (rest != 0) {
+            val bit = rest & -rest
+            if ((here & bit) != 0) { gathered(j) = values(at); j += 1 }
+            at += 1
+            rest ^= bit
+          }
+          gen.append(ts, gathered, 0)
         }
-      val emitted = gen.append(ts, compact)
       lastTs = ts
       if (closed.isEmpty) emitted else if (emitted.isEmpty) closed else closed ++ emitted
     }
@@ -107,6 +112,7 @@ final class SplitManager(
       else {
         val segs = gen.flush()
         gen = null
+        presentMask = 0L
         present = Array.emptyIntArray
         segs
       }
@@ -140,18 +146,20 @@ final class SplitManager(
     segs
   }
 
-  /** Consume the full group's values at tick `ts` (NaN = gap). A sub-group
-    * holding every member receives `values` itself, which the caller must
-    * not modify afterwards.
+  /** Consume the group's tick at `ts`: `tick` holds its present members as
+    * bits (bit i for group position i; an absent member is in a gap), and
+    * `values(offset)` onwards their values in position order. The values are
+    * copied before the call returns.
     */
-  def consume(ts: Long, values: Array[Float]): Seq[SegmentRecord] = {
-    require(values.length == nMembers, s"expected $nMembers values, got ${values.length}")
+  def consume(ts: Long, tick: Long, values: Array[Float], offset: Int): Seq[SegmentRecord] = {
+    if ((tick & ~allMembers) != 0)
+      throw new IllegalArgumentException(s"tick ${tick.toBinaryString} names a member beyond $nMembers")
     var out: ArrayBuffer[SegmentRecord] = null
     var toSplit: ArrayBuffer[Sub]       = null
     var k = 0
     while (k < subs.length) {
       val sub  = subs(k)
-      val segs = sub.consume(ts, values)
+      val segs = sub.consume(ts, tick, values, offset)
       if (segs.nonEmpty) {
         if (out == null) out = ArrayBuffer.empty
         out ++= segs
@@ -189,14 +197,15 @@ final class SplitManager(
     sub.buffered > 0 && emitted.exists(s => ratioOf(s) < avg / cfg.splitFraction)
   }
 
-  // Values v1, v2 are 2ε-compatible if a single model value could represent
-  // both within the per-value relative bound.
-  private def withinDoubleBound(a: IndexedSeq[Float], b: IndexedSeq[Float]): Boolean = {
-    val n = math.min(a.length, b.length)
+  // Series a of generator ga and series b of gb are 2ε-compatible if, over
+  // the ticks both buffer (the newest ones), a single model value could
+  // represent both of each tick's values within the per-value relative bound.
+  private def withinDoubleBound(ga: SegmentGenerator, a: Int, gb: SegmentGenerator, b: Int): Boolean = {
+    val n = math.min(ga.buffered, gb.buffered)
     var k = 0
     while (k < n) {
-      val v1 = a(a.length - n + k).toDouble
-      val v2 = b(b.length - n + k).toDouble
+      val v1 = ga.bufferedValue(ga.buffered - n + k, a).toDouble
+      val v2 = gb.bufferedValue(gb.buffered - n + k, b).toDouble
       val tol = ModelType.tolerance(v1, cfg.epsilonPct) + ModelType.tolerance(v2, cfg.epsilonPct)
       if (math.abs(v1 - v2) > tol) return false
       k += 1
@@ -208,14 +217,16 @@ final class SplitManager(
   // their buffered points; gapped members stay grouped together.
   private def split(sub: Sub): Seq[SegmentRecord] = {
     if (sub.buffered == 0) return Nil
-    val bufferedBy = sub.present.indices.map(i => sub.present(i) -> sub.gen.bufferedValues(i)).toMap
-    val gapped     = sub.members.filterNot(bufferedBy.contains)
+    val gen    = sub.gen
+    // A present member's series index in the generator.
+    val column = sub.present.zipWithIndex.toMap
+    val gapped = sub.members.filterNot(column.contains)
 
     val remaining = ArrayBuffer.from(sub.present)
     val parts     = ArrayBuffer.empty[Array[Int]]
     while (remaining.nonEmpty) {
       val head = remaining.head
-      val part = remaining.filter(m => m == head || withinDoubleBound(bufferedBy(head), bufferedBy(m)))
+      val part = remaining.filter(m => m == head || withinDoubleBound(gen, column(head), gen, column(m)))
       parts += part.toArray
       remaining --= part
     }
@@ -240,7 +251,8 @@ final class SplitManager(
     mergeAttempts += 1
     segmentsSinceAttempt = 0
 
-    val reps = subs.map(sub => if (sub.buffered == 0) None else Some(sub.gen.bufferedValues(0)))
+    // Each sub-group's representative: its first present series, if any.
+    val reps = subs.map(sub => if (sub.buffered == 0) None else Some(sub.gen))
     // Greedy clique merging over sub-groups, mirroring Algorithm 2.
     val groups    = ArrayBuffer.empty[ArrayBuffer[Int]]
     val remaining = ArrayBuffer.from(subs.indices)
@@ -248,7 +260,7 @@ final class SplitManager(
       val head = remaining.head
       val part = remaining.filter { j =>
         j == head || ((reps(head), reps(j)) match {
-          case (Some(a), Some(b)) => withinDoubleBound(a, b)
+          case (Some(a), Some(b)) => withinDoubleBound(a, 0, b, 0)
           case _                  => false
         })
       }

@@ -15,8 +15,11 @@ package repro.core.model
   *    then the meaningful bits (new window).
   *
   * Lossless types are bounded by a segment length limit rather than ε
-  * (paper Section III-B). Following Table I's optimization, the bit buffer is
-  * pre-allocated from the length bound.
+  * (paper Section III-B). GOLEMM tries Gorilla on most windows but emits it
+  * for few, so the fitter only counts: an append advances the XOR window
+  * state and an exact bit count (`bytes == serialize().length` after every
+  * tick) and keeps the accepted values, which [[ModelFitter.serialize]]
+  * bit-encodes once, for the model that is emitted.
   */
 object Gorilla extends ModelType {
   override val mid      = 3
@@ -26,57 +29,87 @@ object Gorilla extends ModelType {
   override def newFitter(nSeries: Int, epsilonPct: Double, lengthBound: Int): ModelFitter =
     new Fitter(nSeries, lengthBound)
 
-  private final class Fitter(nSeries: Int, lengthBound: Int) extends ModelFitter {
-    // Worst case ~37 bits/value; pre-allocate for the bound (Table I).
-    private val writer = new BitWriter(math.max(64, lengthBound * nSeries * 5))
-    private var ticks        = 0
+  /** The encoder's state along the chain of values: the previous value's
+    * bits and the window of meaningful bits the next XOR may reuse.
+    */
+  private final class Chain {
     private var prev         = 0
     private var prevLeading  = -1
     private var prevTrailing = -1
     private var first        = true
 
-    private def encodeOne(v: Float): Unit = {
+    /** The number of bits that encode `v` next in the chain; they are
+      * written to `w` unless it is null.
+      */
+    def put(v: Float, w: BitWriter): Int = {
       val bits = java.lang.Float.floatToRawIntBits(v)
-      if (first) {
-        writer.writeBits(bits.toLong & 0xFFFFFFFFL, 32)
-        first = false
-      } else {
-        val xor = bits ^ prev
-        if (xor == 0) writer.writeBit(false)
-        else {
-          writer.writeBit(true)
-          val leading  = math.min(java.lang.Integer.numberOfLeadingZeros(xor), 31)
-          val trailing = java.lang.Integer.numberOfTrailingZeros(xor)
-          if (prevLeading >= 0 && leading >= prevLeading && trailing >= prevTrailing) {
-            val meaningful = 32 - prevLeading - prevTrailing
-            writer.writeBit(false)
-            writer.writeBits((xor >>> prevTrailing).toLong, meaningful)
+      val n =
+        if (first) {
+          first = false
+          if (w != null) w.writeBits(bits.toLong & 0xFFFFFFFFL, 32)
+          32
+        } else {
+          val xor = bits ^ prev
+          if (xor == 0) {
+            if (w != null) w.writeBit(false)
+            1
           } else {
-            val meaningful = 32 - leading - trailing
-            writer.writeBit(true)
-            writer.writeBits(leading.toLong, 5)
-            writer.writeBits((meaningful - 1).toLong, 5)
-            writer.writeBits((xor >>> trailing).toLong, meaningful)
-            prevLeading = leading; prevTrailing = trailing
+            val leading  = math.min(java.lang.Integer.numberOfLeadingZeros(xor), 31)
+            val trailing = java.lang.Integer.numberOfTrailingZeros(xor)
+            if (prevLeading >= 0 && leading >= prevLeading && trailing >= prevTrailing) {
+              val meaningful = 32 - prevLeading - prevTrailing
+              if (w != null) {
+                w.writeBits(2L, 2) // control '10'
+                w.writeBits((xor >>> prevTrailing).toLong, meaningful)
+              }
+              2 + meaningful
+            } else {
+              val meaningful = 32 - leading - trailing
+              if (w != null) {
+                w.writeBits(3L, 2) // control '11'
+                w.writeBits(leading.toLong, 5)
+                w.writeBits((meaningful - 1).toLong, 5)
+                w.writeBits((xor >>> trailing).toLong, meaningful)
+              }
+              prevLeading = leading; prevTrailing = trailing
+              12 + meaningful
+            }
           }
         }
-      }
       prev = bits
+      n
     }
+  }
 
-    override def append(values: Array[Float]): Boolean = {
-      require(values.length == nSeries, s"expected $nSeries values, got ${values.length}")
+  private final class Fitter(nSeries: Int, lengthBound: Int) extends ModelFitter {
+    private val chain    = new Chain
+    private val accepted = new Array[Float](lengthBound * nSeries)
+    private var ticks    = 0
+    private var bits     = 0L
+
+    override def append(values: Array[Float], offset: Int): Boolean = {
       if (ticks >= lengthBound) return false
+      val at = ticks * nSeries
       var i = 0
-      while (i < nSeries) { encodeOne(values(i)); i += 1 }
+      while (i < nSeries) {
+        val v = values(offset + i)
+        accepted(at + i) = v
+        bits += chain.put(v, null)
+        i += 1
+      }
       ticks += 1
       true
     }
 
-    override def length: Int          = ticks
-    override def bytes: Int           = writer.sizeInBytes
+    override def length: Int = ticks
+    override def bytes: Int  = ((bits + 7) / 8).toInt
+
     override def serialize(): Array[Byte] = {
       require(ticks > 0, "cannot serialize an empty Gorilla model")
+      val writer = new BitWriter(bytes)
+      val encode = new Chain
+      var i = 0
+      while (i < ticks * nSeries) { encode.put(accepted(i), writer); i += 1 }
       writer.toBytes
     }
   }
@@ -128,11 +161,10 @@ object Fallback extends ModelType {
     private val buf   = java.nio.ByteBuffer.allocate(lengthBound * nSeries * 4)
     private var ticks = 0
 
-    override def append(values: Array[Float]): Boolean = {
-      require(values.length == nSeries, s"expected $nSeries values, got ${values.length}")
+    override def append(values: Array[Float], offset: Int): Boolean = {
       if (ticks >= lengthBound) return false
       var i = 0
-      while (i < nSeries) { buf.putFloat(values(i)); i += 1 }
+      while (i < nSeries) { buf.putFloat(values(offset + i)); i += 1 }
       ticks += 1
       true
     }

@@ -13,11 +13,15 @@ import repro.core.Types.SeriesAgg
   */
 trait ModelFitter {
 
-  /** Try to extend the model with the next tick's values (one per series).
-    * Returns false — leaving the accepted prefix untouched — if the model
-    * cannot represent them within the bound.
+  /** Try to extend the model with the next tick's values, one per series,
+    * at `values(offset)` onwards. Returns false — leaving the accepted prefix
+    * untouched — if the model cannot represent them within the bound. The
+    * fitter keeps no reference to `values`.
     */
-  def append(values: Array[Float]): Boolean
+  def append(values: Array[Float], offset: Int): Boolean
+
+  /** [[append]] of a tick held in an array of its own. */
+  final def append(values: Array[Float]): Boolean = append(values, 0)
 
   /** Number of accepted ticks. */
   def length: Int

@@ -33,11 +33,10 @@ sealed abstract class PmcType extends ModelType {
     private var minUpper = Double.PositiveInfinity
     private var ticks    = 0
 
-    override def append(values: Array[Float]): Boolean = {
-      require(values.length == nSeries, s"expected $nSeries values, got ${values.length}")
+    override def append(values: Array[Float], offset: Int): Boolean = {
       var nLower = maxLower; var nUpper = minUpper; var nSum = sum
-      var i = 0
-      while (i < nSeries) {
+      var i = offset
+      while (i < offset + nSeries) {
         val v   = values(i).toDouble
         val tol = ModelType.tolerance(v, epsilonPct)
         if (v - tol > nLower) nLower = v - tol

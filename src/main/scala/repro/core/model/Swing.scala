@@ -49,10 +49,10 @@ object Swing extends ModelType {
     private var lo = 0.0
     private var hi = 0.0
 
-    private def tickBounds(values: Array[Float]): Unit = {
+    private def tickBounds(values: Array[Float], offset: Int): Unit = {
       lo = Double.NegativeInfinity; hi = Double.PositiveInfinity
-      var i = 0
-      while (i < values.length) {
+      var i = offset
+      while (i < offset + nSeries) {
         val v   = values(i).toDouble
         val tol = ModelType.tolerance(v, epsilonPct)
         if (v - tol > lo) lo = v - tol
@@ -98,14 +98,13 @@ object Swing extends ModelType {
       vMax <= Float.MaxValue && cand - nLo > margin && nHi - cand > margin
     }
 
-    override def append(values: Array[Float]): Boolean = {
-      require(values.length == nSeries, s"expected $nSeries values, got ${values.length}")
-      tickBounds(values)
+    override def append(values: Array[Float], offset: Int): Boolean = {
+      tickBounds(values, offset)
       if (lo > hi) return false
       if (ticks == 0) {
-        var sum = 0.0; var i = 0
-        while (i < values.length) { sum += values(i); i += 1 }
-        val b = math.min(hi, math.max(lo, sum / values.length)).toFloat
+        var sum = 0.0; var i = offset
+        while (i < offset + nSeries) { sum += values(i); i += 1 }
+        val b = math.min(hi, math.max(lo, sum / nSeries)).toFloat
         if (b.toDouble < lo || b.toDouble > hi) return false
         intercept = b
         accept()

@@ -3,7 +3,6 @@ package repro.core.storage
 import java.io.{File, IOException}
 import java.nio.file.{DirectoryNotEmptyException, Files, Paths, StandardCopyOption}
 import java.util.UUID
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 import com.fasterxml.jackson.databind.json.JsonMapper
@@ -20,7 +19,7 @@ import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import org.apache.spark.sql.catalyst.expressions.{GenericInternalRow, SpecificInternalRow}
 import org.apache.spark.unsafe.types.UTF8String
 
-import repro.core.Catalog
+import repro.core.{Catalog, GroupTable}
 import repro.core.Types.SegmentRecord
 import repro.core.model.ModelType
 
@@ -91,8 +90,13 @@ object SegmentSource {
   val ViewFormatName: String   = classOf[SegmentViewSource].getName
   val PointsFormatName: String = classOf[DataPointSource].getName
 
-  /** What a table reads: the raw segments, or a view with the store's catalog. */
-  private[storage] sealed abstract class Form(val catalog: Option[Catalog]) extends Serializable
+  /** What a table reads: the raw segments, or a view with the store's
+    * catalog. The catalog stays on the driver: a view's readers get its
+    * [[GroupTable]] with the members' dimension values instead.
+    */
+  private[storage] sealed abstract class Form(val catalog: Option[Catalog]) {
+    lazy val groups: Option[GroupTable] = catalog.map(GroupTable(_, withDims = true))
+  }
   private[storage] case object Raw extends Form(None)
   private[storage] final case class SegmentRows(c: Catalog) extends Form(Some(c))
   private[storage] final case class PointRows(c: Catalog) extends Form(Some(c))
@@ -357,20 +361,25 @@ private final class SegmentScanBuilder(path: String, form: SegmentSource.Form)
     }
 
     override def createReaderFactory(): PartitionReaderFactory =
-      new SegmentReaderFactory(pushed, form)
+      new SegmentReaderFactory(pushed, readSchema(), form.groups, form.isInstanceOf[SegmentSource.PointRows])
   }
 }
 
 private final case class SegmentFilesPartition(files: Seq[String]) extends InputPartition
 
-private final class SegmentReaderFactory(pushed: SegmentSource.Pushed, form: SegmentSource.Form)
+/** A scan's readers: the raw segments without `groups`; with them, the
+  * Segment View's member rows, or the Data Point View's if `points`. The
+  * driver derives `schema` and builds `groups`.
+  */
+private final class SegmentReaderFactory(pushed: SegmentSource.Pushed, schema: StructType,
+                                         groups: Option[GroupTable], points: Boolean)
     extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
     val files = partition.asInstanceOf[SegmentFilesPartition].files
-    val rowsOf: (SegmentRecord, String) => Iterator[InternalRow] = form match {
-      case SegmentSource.Raw            => (s, _) => Iterator.single(SegmentSource.toRow(s))
-      case SegmentSource.SegmentRows(c) => new MemberRows(c).of
-      case SegmentSource.PointRows(c)   => new MemberRows(c).points
+    val rowsOf: (SegmentRecord, String) => Iterator[InternalRow] = groups match {
+      case None              => (s, _) => Iterator.single(SegmentSource.toRow(s))
+      case Some(g) if points => new MemberRows(g, schema).points
+      case Some(g)           => new MemberRows(g, schema).of
     }
     val rows: Iterator[InternalRow] = files.iterator.flatMap { file =>
       val bytes = Files.readAllBytes(Paths.get(file))
@@ -388,21 +397,23 @@ private final class SegmentReaderFactory(pushed: SegmentSource.Pushed, form: Seg
 
 /** The Segment View's explode, and the Data Point View's, for one reader: a
   * segment becomes the rows of each member of its group that the Gaps
-  * bitmask marks present, in sorted-tid order. A group's tids, scalings and
-  * dimension values are looked up once per reader.
+  * bitmask marks present, in sorted-tid order. A group's dimension values
+  * become `UTF8String`s once per reader. `schema` is the view's.
   */
-private final class MemberRows(catalog: Catalog) {
+private final class MemberRows(groups: GroupTable, schema: StructType) {
   private final class Members(val tids: Array[Int], val scalings: Array[Double],
                               val dims: Array[Array[UTF8String]])
 
-  private val groups = mutable.HashMap.empty[Int, Members]
+  private val bySlot = new Array[Members](groups.size)
 
-  private def members(gid: Int, file: String): Members = groups.getOrElseUpdate(gid, {
-    val g = catalog.byGid.getOrElse(gid, throw new IllegalStateException(
-      s"segment file $file holds gid $gid, which is not a group of the catalog"))
-    new Members(g.tids.toArray, g.tids.map(catalog.byTid(_).scaling).toArray,
-                g.tids.map(catalog.dimValues(_).map(UTF8String.fromString).toArray).toArray)
-  })
+  private def members(gid: Int, file: String): Members = {
+    val g = groups.slot(gid)
+    if (g < 0) throw new IllegalStateException(
+      s"segment file $file holds gid $gid, which is not a group of the catalog")
+    if (bySlot(g) == null)
+      bySlot(g) = new Members(groups.tids(g), groups.scalings(g), groups.dims(g).map(_.map(UTF8String.fromString)))
+    bySlot(g)
+  }
 
   def of(s: SegmentRecord, file: String): Iterator[InternalRow] = {
     val m       = members(s.gid, file)
@@ -416,7 +427,7 @@ private final class MemberRows(catalog: Catalog) {
   /** The reader's one Data Point View row, set in place (its typed fields do
     * not box) for each point: the scan copies it before it asks for the next.
     */
-  private lazy val point = new SpecificInternalRow(SegmentSource.schemaOf(SegmentSource.PointRows(catalog)))
+  private lazy val point = new SpecificInternalRow(schema)
 
   /** The segment decoded once; each present member's points in time order. */
   def points(s: SegmentRecord, file: String): Iterator[InternalRow] = {

@@ -26,6 +26,19 @@ class CatalogSpec extends AnyFunSuite {
   private val groups = IndexedSeq(Group(1, IndexedSeq(1, 2)), Group(2, IndexedSeq(3, 4)))
   private val cat    = Catalog(series, groups, dims)
 
+  test("GroupTable holds each group's members, scalings, SI and dimension values by slot") {
+    val scaled = Catalog(series.map(s => s.copy(scaling = s.tid * 0.5)), groups, dims)
+    val table  = GroupTable(scaled, withDims = true)
+    assert(table.size == 2 && table.slot(7) == -1 && table.slot(0) == -1)
+    val g = table.slot(2)
+    assert(table.tids(g).toSeq == Seq(3, 4) && table.scalings(g).toSeq == Seq(1.5, 2.0))
+    assert(table.sis(g) == 100)
+    assert(table.dims(g).map(_.toSeq).toSeq == Seq(Seq("p2", "e3", "speed"), Seq("p2", "e4", "temp")))
+    // Equal values are one object, so the table serialises each once.
+    assert(table.dims(g)(0)(0) eq table.dims(g)(1)(0))
+    assert(GroupTable(scaled, withDims = false).dims.isEmpty)
+  }
+
   test("gidOf maps every tid to its group") {
     assert(cat.gidOf == Map(1 -> 1, 2 -> 1, 3 -> 2, 4 -> 2))
   }

@@ -8,6 +8,7 @@ import repro.core.model.ModelType
 class CompressorSpec extends AnyFunSuite {
 
   private def cfg = GolemmConfig(epsilonPct = 0.0, lengthBound = 50)
+  private def q(x: Double): Float = (Math.round(x * 1024) / 1024.0).toFloat
 
   test("ticksFromSortedPoints aligns rows into ticks with NaN for missing") {
     val rows = Iterator(
@@ -51,7 +52,7 @@ class CompressorSpec extends AnyFunSuite {
     val b     = chunker.chunks(rows(taskB)).toVector
     assert(a.map(_.ts.length) == Vector(Compressor.ChunkPoints, taskA.length - Compressor.ChunkPoints))
     assert((a ++ b).forall(_.gid == 7))
-    val ticks = Compressor.ticksFromChunks(tids, b.reverse ++ a.reverse, 7).toVector
+    val ticks = Compressor.ticksFromChunks(tids, b.reverse ++ a.reverse, 7).rows.toVector
     assert(ticks.map(_._1) == (0 until n).map(_ * 100L))
     def bits(vs: Seq[Float]) = vs.map(java.lang.Float.floatToRawIntBits)
     assert(ticks.map(t => bits(t._2.toSeq)) == (0 until n).map(t => bits(tids.indices.map(value(_, t)))))
@@ -61,7 +62,7 @@ class CompressorSpec extends AnyFunSuite {
     val e = intercept[IllegalArgumentException] {
       Compressor.ticksFromChunks(Array(5, 6), Seq(
         GroupChunk(1, Array(0L, 100L), Array[Byte](0, 1), Array(1f, 2f)),
-        GroupChunk(1, Array(100L), Array[Byte](1), Array(3f))), 1).toVector
+        GroupChunk(1, Array(100L), Array[Byte](1), Array(3f))), 1)
     }
     assert(e.getMessage == "duplicate point in group 1: tid 6 at ts 100")
   }
@@ -69,13 +70,50 @@ class CompressorSpec extends AnyFunSuite {
   test("ticksFromChunks accepts a span below 2^57 ms and rejects one of 2^57 ms or more") {
     def chunk(ts: Long*) = GroupChunk(1, ts.toArray, Array.fill(ts.length)(0.toByte),
                                    Array.fill(ts.length)(1f))
-    val ok = Compressor.ticksFromChunks(Array(5), Seq(chunk(-100L, (1L << 57) - 101)), 1).toVector
+    val ok = Compressor.ticksFromChunks(Array(5), Seq(chunk(-100L, (1L << 57) - 101)), 1).rows.toVector
     assert(ok.map(_._1) == Vector(-100L, (1L << 57) - 101))
     Seq(Seq(0L, 1L << 57), Seq(Long.MinValue, Long.MaxValue)).foreach { ts =>
       val e = intercept[IllegalArgumentException](
         Compressor.ticksFromChunks(Array(5), Seq(chunk(ts: _*)), 1))
       assert(e.getMessage.contains("2^57"), e.getMessage)
     }
+  }
+
+  test("a point whose value is NaN gives the same segments as leaving the point out") {
+    // Member 0 is present at every tick, so no tick loses all its points.
+    val tids = Array(1, 2, 3, 4)
+    val rng  = new scala.util.Random(29)
+    val points = for (t <- 0 until 800; m <- tids.indices)
+      yield (t * 100L, m, q(100.0 + 10 * m + (if (t % 200 < 100) 0.0 else rng.nextDouble() * 50)))
+    val nan = points.map { case (ts, m, v) => (ts, m, m > 0 && rng.nextDouble() < 0.05, v) }
+    def chunk(ps: Seq[(Long, Int, Float)]) =
+      GroupChunk(1, ps.map(_._1).toArray, ps.map(_._2.toByte).toArray, ps.map(_._3).toArray)
+    val withNaN = chunk(nan.map { case (ts, m, gap, v) => (ts, m, if (gap) Float.NaN else v) })
+    val without = chunk(nan.collect { case (ts, m, false, v) => (ts, m, v) })
+    assert(withNaN.ts.length > without.ts.length + 100)
+    Seq(0.0, 10.0).foreach { eps =>
+      def compress(c: GroupChunk) = Compressor.compressGroup(1, tids.length, 100, Array.fill(4)(1.0),
+        Compressor.ticksFromChunks(tids, Seq(c), 1), GolemmConfig(epsilonPct = eps, lengthBound = 50))
+      val (a, sa) = compress(withNaN)
+      val (b, sb) = compress(without)
+      assert(a == b, s"eps $eps")
+      assert(sa.copy(splitMergeNanos = 0, totalNanos = 0) == sb.copy(splitMergeNanos = 0, totalNanos = 0))
+    }
+  }
+
+  test("a 64-member group whose members never share a timestamp assembles in arrays of its points") {
+    val tids   = Array.tabulate(64)(m => 100 + m)
+    val points = 64 * 40
+    // Member m holds the ticks congruent to m modulo 64, so each tick has
+    // one present member: ticks × members would be 64 times the points.
+    val c = GroupChunk(9, Array.tabulate(points)(i => i * 10L), Array.tabulate(points)(i => (i % 64).toByte),
+                       Array.tabulate(points)(i => (i % 64).toFloat))
+    val ticks = Compressor.ticksFromChunks(tids, Seq(c), 9)
+    assert(ticks.length == points)
+    assert(Seq(ticks.ts.length, ticks.present.length, ticks.values.length).forall(_ == points))
+    assert((0 until points).forall(k => ticks.present(k) == 1L << (k % 64) && ticks.values(k) == k % 64))
+    val (_, st) = Compressor.compressGroup(9, 64, 10, Array.fill(64)(1.0), ticks, cfg)
+    assert(st.points == points)
   }
 
   test("compressGroup counts points, segments, model usage") {

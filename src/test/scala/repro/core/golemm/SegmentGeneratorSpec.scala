@@ -12,7 +12,7 @@ class SegmentGeneratorSpec extends AnyFunSuite {
   private def run(values: Seq[Array[Float]], cfg: GolemmConfig, nSeries: Int = 1,
                   si: Int = 100): Seq[SegmentRecord] = {
     val g = new SegmentGenerator(gid = 1, nSeries = nSeries, gaps = 0L, si = si, cfg = cfg)
-    val emitted = values.zipWithIndex.flatMap { case (v, i) => g.append(i.toLong * si, v) }
+    val emitted = values.zipWithIndex.flatMap { case (v, i) => g.append(i.toLong * si, v, 0) }
     emitted ++ g.flush()
   }
 
@@ -57,6 +57,33 @@ class SegmentGeneratorSpec extends AnyFunSuite {
     val covered = segs.flatMap(s => (s.startTime to s.endTime by s.si))
     assert(covered.distinct.length == covered.length) // no duplicates (disconnected)
     assert(covered.sorted == (0 until 120).map(_.toLong * 100))
+  }
+
+  test("lossy windows many times the length bound alternate with Gorilla windows") {
+    // The buffer grows to hold each long constant window, and its front
+    // empties while the Gorilla windows are emitted; each run is longer than
+    // the last, so it both grows and compacts.
+    val eps   = 1.0
+    val bound = 8
+    val n     = 3
+    val rng   = new scala.util.Random(47)
+    val values = (0 until 12).flatMap { r =>
+      val level = 100.0 + 50 * r
+      (0 until bound * (20 + 17 * r)).map(t => Array.fill(n)(q(level + 0.25 * math.sin(t.toDouble)))) ++
+        (0 until 3 * bound + r).map(_ => Array.fill(n)(q(1000 + 9000 * rng.nextDouble())))
+    }
+    val segs = run(values, GolemmConfig(epsilonPct = eps, lengthBound = bound), nSeries = n)
+    val covered = segs.flatMap(s => s.startTime to s.endTime by s.si)
+    assert(covered.sorted == values.indices.map(_ * 100L))
+    assert(segs.exists(s => s.mid == PmcMean.mid && s.length > 20 * bound))
+    assert(segs.count(_.mid == Gorilla.mid) >= 12)
+    val rec = reconstruct(segs, n)
+    values.zipWithIndex.foreach { case (v, i) =>
+      (0 until n).foreach { s =>
+        val r = rec(i * 100L)(s)
+        assert(math.abs(v(s) - r) <= eps / 100.0 * math.abs(v(s)) + 1e-4, s"tick $i series $s: ${v(s)} vs $r")
+      }
+    }
   }
 
   test("regime change emits the previously best model") {
@@ -107,7 +134,7 @@ class SegmentGeneratorSpec extends AnyFunSuite {
 
   test("gaps bitmask and gid are stamped on segments") {
     val g = new SegmentGenerator(gid = 42, nSeries = 2, gaps = 0x4L, si = 10, GolemmConfig())
-    g.append(0L, Array(1f, 1f))
+    g.append(0L, Array(1f, 1f), 0)
     val segs = g.flush()
     assert(segs.head.gid == 42 && segs.head.gaps == 0x4L)
   }
@@ -115,7 +142,7 @@ class SegmentGeneratorSpec extends AnyFunSuite {
   test("fallback used when no lossy type fits and no lossless is configured") {
     val cfg = GolemmConfig(modelTypes = Seq(PmcMean), epsilonPct = 0.0, lengthBound = 10)
     val g   = new SegmentGenerator(1, 1, 0L, 100, cfg)
-    val out = (0 until 6).flatMap(i => g.append(i * 100L, Array(i.toFloat * 1000))) ++ g.flush()
+    val out = (0 until 6).flatMap(i => g.append(i * 100L, Array(i.toFloat * 1000), 0)) ++ g.flush()
     // strictly increasing values: PMC-Mean at eps=0 fits only single ticks;
     // single-tick PMC segments (4B) beat fallback, both are acceptable — but
     // every point must be covered and reconstruct exactly.
@@ -128,17 +155,17 @@ class SegmentGeneratorSpec extends AnyFunSuite {
     val values = (0 until 49).map(i => Array(q(5.0) + q(0.5) * i)) :+ Array(Float.NaN)
     // feed only the linear part, then flush
     val g = new SegmentGenerator(1, 1, 0L, 100, GolemmConfig(epsilonPct = 0.0, lengthBound = 50))
-    values.init.zipWithIndex.foreach { case (v, i) => assert(g.append(i * 100L, v).isEmpty) }
+    values.init.zipWithIndex.foreach { case (v, i) => assert(g.append(i * 100L, v, 0).isEmpty) }
     val segs = g.flush()
     assert(segs.length == 1 && segs.head.mid == Swing.mid)
   }
 
-  test("buffered and bufferedValues expose the window") {
+  test("buffered and bufferedValue expose the window") {
     val g = new SegmentGenerator(1, 2, 0L, 100, GolemmConfig(epsilonPct = 0.0))
-    g.append(0L, Array(1f, 2f)); g.append(100L, Array(1f, 2f))
+    g.append(0L, Array(1f, 2f), 0); g.append(100L, Array(0f, 1f, 2f), 1)
     assert(g.buffered == 2)
-    assert(g.bufferedValues(0) == IndexedSeq(1f, 1f))
-    assert(g.bufferedValues(1) == IndexedSeq(2f, 2f))
+    assert((0 until 2).map(g.bufferedValue(_, 0)) == IndexedSeq(1f, 1f))
+    assert((0 until 2).map(g.bufferedValue(_, 1)) == IndexedSeq(2f, 2f))
     assert(g.bufferStart == 0L)
   }
 }

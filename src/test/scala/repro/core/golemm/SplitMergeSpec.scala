@@ -12,6 +12,12 @@ class SplitMergeSpec extends AnyFunSuite {
   private def cfg(split: Boolean = true, eps: Double = 10.0) =
     GolemmConfig(epsilonPct = eps, lengthBound = 50, dynamicSplitting = split)
 
+  /** Feed `m` the group's tick at `ts` as one value per member, NaN = gap. */
+  private def consume(m: SplitManager, ts: Long, values: Array[Float]): Seq[SegmentRecord] = {
+    val tick = Compressor.Ticks.of(values.length, Iterator(ts -> values))
+    m.consume(ts, tick.present(0), tick.values, 0)
+  }
+
   /** Reconstruct (memberIdx -> ts -> value) from emitted segments. */
   private def reconstruct(segs: Seq[SegmentRecord], nMembers: Int): Map[(Int, Long), Float] = {
     val out = collection.mutable.Map.empty[(Int, Long), Float]
@@ -28,7 +34,7 @@ class SplitMergeSpec extends AnyFunSuite {
     val m = new SplitManager(1, 3, 100, cfg())
     val segs = (0 until 500).flatMap { i =>
       val v = q(100.0 + (i % 30))
-      m.consume(i * 100L, Array(v, v, v))
+      consume(m, i * 100L, Array(v, v, v))
     } ++ m.close()
     assert(m.subGroupCount == 1)
     assert(m.stats.splits == 0)
@@ -39,13 +45,13 @@ class SplitMergeSpec extends AnyFunSuite {
     val m = new SplitManager(1, 2, 100, cfg())
     var segs = Seq.empty[SegmentRecord]
     // phase 1: correlated constants
-    (0 until 100).foreach(i => segs ++= m.consume(i * 100L, Array(100f, 100f)))
+    (0 until 100).foreach(i => segs ++= consume(m, i * 100L, Array(100f, 100f)))
     // phase 2: series 1 diverges far outside 2*eps
     val rng = new scala.util.Random(3)
     (100 until 400).foreach { i =>
       val v0 = q(100.0 + rng.nextGaussian())
       val v1 = q(5000.0 + 200.0 * rng.nextGaussian())
-      segs ++= m.consume(i * 100L, Array(v0, v1))
+      segs ++= consume(m, i * 100L, Array(v0, v1))
     }
     segs ++= m.close()
     assert(m.stats.splits >= 1, s"expected a split, stats=${m.stats.splits}")
@@ -60,13 +66,13 @@ class SplitMergeSpec extends AnyFunSuite {
     val m = new SplitManager(1, 2, 100, cfg())
     var segs = Seq.empty[SegmentRecord]
     val rng  = new scala.util.Random(5)
-    (0 until 100).foreach(i => segs ++= m.consume(i * 100L, Array(100f, 100f)))
+    (0 until 100).foreach(i => segs ++= consume(m, i * 100L, Array(100f, 100f)))
     (100 until 300).foreach { i =>
-      segs ++= m.consume(i * 100L, Array(q(100 + rng.nextGaussian()), q(4000 + 100 * rng.nextGaussian())))
+      segs ++= consume(m, i * 100L, Array(q(100 + rng.nextGaussian()), q(4000 + 100 * rng.nextGaussian())))
     }
     val splitCount = m.stats.splits
     // re-correlate for long enough that a merge attempt fires
-    (300 until 900).foreach(i => segs ++= m.consume(i * 100L, Array(100f, 100f)))
+    (300 until 900).foreach(i => segs ++= consume(m, i * 100L, Array(100f, 100f)))
     segs ++= m.close()
     if (splitCount >= 1) {
       assert(m.stats.merges >= 1, s"expected a merge after re-correlation (attempts=${m.stats.mergeAttempts})")
@@ -80,7 +86,7 @@ class SplitMergeSpec extends AnyFunSuite {
     val m = new SplitManager(1, 2, 100, cfg(split = false))
     val rng = new scala.util.Random(7)
     (0 until 300).foreach { i =>
-      m.consume(i * 100L, Array(q(100 + rng.nextGaussian()), q(9000 + 500 * rng.nextGaussian())))
+      consume(m, i * 100L, Array(q(100 + rng.nextGaussian()), q(9000 + 500 * rng.nextGaussian())))
     }
     m.close()
     assert(m.stats.splits == 0 && m.subGroupCount == 1)
@@ -89,10 +95,10 @@ class SplitMergeSpec extends AnyFunSuite {
   test("merge backoff doubles after failed attempts") {
     val m = new SplitManager(1, 2, 100, cfg())
     var segs = Seq.empty[SegmentRecord]
-    (0 until 80).foreach(i => segs ++= m.consume(i * 100L, Array(50f, 50f)))
+    (0 until 80).foreach(i => segs ++= consume(m, i * 100L, Array(50f, 50f)))
     val rng = new scala.util.Random(11)
     (80 until 2000).foreach { i =>
-      segs ++= m.consume(i * 100L, Array(q(50 + rng.nextGaussian()), q(7000 + 300 * rng.nextGaussian())))
+      segs ++= consume(m, i * 100L, Array(q(50 + rng.nextGaussian()), q(7000 + 300 * rng.nextGaussian())))
     }
     m.close()
     if (m.stats.splits >= 1) {
@@ -106,9 +112,9 @@ class SplitMergeSpec extends AnyFunSuite {
   test("split/merge overhead is measured") {
     val m = new SplitManager(1, 2, 100, cfg())
     val rng = new scala.util.Random(13)
-    (0 until 100).foreach(i => m.consume(i * 100L, Array(10f, 10f)))
+    (0 until 100).foreach(i => consume(m, i * 100L, Array(10f, 10f)))
     (100 until 400).foreach { i =>
-      m.consume(i * 100L, Array(q(10 + 0.1 * rng.nextGaussian()), q(6000 + 250 * rng.nextGaussian())))
+      consume(m, i * 100L, Array(q(10 + 0.1 * rng.nextGaussian()), q(6000 + 250 * rng.nextGaussian())))
     }
     m.close()
     if (m.stats.splits + m.stats.mergeAttempts > 0) assert(m.stats.splitMergeNanos > 0)
@@ -117,11 +123,11 @@ class SplitMergeSpec extends AnyFunSuite {
   test("gapped members stay grouped through a split") {
     val m = new SplitManager(1, 3, 100, cfg())
     var segs = Seq.empty[SegmentRecord]
-    (0 until 100).foreach(i => segs ++= m.consume(i * 100L, Array(20f, 20f, 20f)))
+    (0 until 100).foreach(i => segs ++= consume(m, i * 100L, Array(20f, 20f, 20f)))
     val rng = new scala.util.Random(17)
     // member 2 in a gap while 0 and 1 diverge
     (100 until 400).foreach { i =>
-      segs ++= m.consume(i * 100L,
+      segs ++= consume(m, i * 100L,
         Array(q(20 + 0.1 * rng.nextGaussian()), q(8000 + 400 * rng.nextGaussian()), Float.NaN))
     }
     segs ++= m.close()
@@ -138,11 +144,11 @@ class SplitMergeSpec extends AnyFunSuite {
     // split off. A 64-member group must do what a 63-member one does.
     def run(n: Int): (Int, Int) = {
       val m = new SplitManager(1, n, 100, cfg())
-      val segs = (0 until 200).flatMap(i => m.consume(i * 100L, Array.fill(n)(100f))) ++
+      val segs = (0 until 200).flatMap(i => consume(m, i * 100L, Array.fill(n)(100f))) ++
         (200 until 600).flatMap { i =>
           val v = Array.fill(n)(Float.NaN)
           v(0) = 100f * (1 + (i - 200) / 50)
-          m.consume(i * 100L, v)
+          consume(m, i * 100L, v)
         } ++ m.close()
       val rec = reconstruct(segs, n)
       assert(rec.keySet.count(_._1 == 0) == 600 && rec.size == 200 * n + 400)
@@ -159,7 +165,7 @@ class SplitMergeSpec extends AnyFunSuite {
 
   test("no gaps: one run, gaps bitmask 0") {
     val m = new SplitManager(1, 2, 100, gapCfg)
-    val segs = (0 until 20).flatMap(i => m.consume(i * 100L, Array(5f, 5f))) ++ m.close()
+    val segs = (0 until 20).flatMap(i => consume(m, i * 100L, Array(5f, 5f))) ++ m.close()
     assert(segs.nonEmpty && segs.forall(_.gaps == 0L))
     assert(segs.map(_.length).sum == 20)
   }
@@ -167,9 +173,9 @@ class SplitMergeSpec extends AnyFunSuite {
   test("a gap in one series starts a new segment with its bit set (Figure 5)") {
     val m = new SplitManager(1, 3, 100, gapCfg)
     val out = collection.mutable.ArrayBuffer.empty[SegmentRecord]
-    (0 until 10).foreach(i => out ++= m.consume(i * 100L, Array(1f, 1f, 1f)))
-    (10 until 20).foreach(i => out ++= m.consume(i * 100L, Array(1f, Float.NaN, 1f)))
-    (20 until 30).foreach(i => out ++= m.consume(i * 100L, Array(1f, 1f, 1f)))
+    (0 until 10).foreach(i => out ++= consume(m, i * 100L, Array(1f, 1f, 1f)))
+    (10 until 20).foreach(i => out ++= consume(m, i * 100L, Array(1f, Float.NaN, 1f)))
+    (20 until 30).foreach(i => out ++= consume(m, i * 100L, Array(1f, 1f, 1f)))
     out ++= m.close()
     val masks = out.map(_.gaps).distinct.sorted
     assert(masks == Seq(0L, 2L)) // bit 1 set while series 1 gapped
@@ -182,9 +188,9 @@ class SplitMergeSpec extends AnyFunSuite {
   test("all series gapped: no segment spans the hole") {
     val m = new SplitManager(1, 1, 100, gapCfg)
     val out = collection.mutable.ArrayBuffer.empty[SegmentRecord]
-    (0 until 5).foreach(i => out ++= m.consume(i * 100L, Array(2f)))
-    (5 until 8).foreach(i => out ++= m.consume(i * 100L, Array(Float.NaN)))
-    (8 until 12).foreach(i => out ++= m.consume(i * 100L, Array(2f)))
+    (0 until 5).foreach(i => out ++= consume(m, i * 100L, Array(2f)))
+    (5 until 8).foreach(i => out ++= consume(m, i * 100L, Array(Float.NaN)))
+    (8 until 12).foreach(i => out ++= consume(m, i * 100L, Array(2f)))
     out ++= m.close()
     assert(out.length == 2)
     assert(out(0).startTime == 0L && out(0).endTime == 400L)
@@ -194,9 +200,9 @@ class SplitMergeSpec extends AnyFunSuite {
   test("non-contiguous timestamps force a new run") {
     val m = new SplitManager(1, 1, 100, gapCfg)
     val out = collection.mutable.ArrayBuffer.empty[SegmentRecord]
-    out ++= m.consume(0L, Array(3f))
-    out ++= m.consume(100L, Array(3f))
-    out ++= m.consume(500L, Array(3f)) // hole: rows missing entirely
+    out ++= consume(m, 0L, Array(3f))
+    out ++= consume(m, 100L, Array(3f))
+    out ++= consume(m, 500L, Array(3f)) // hole: rows missing entirely
     out ++= m.close()
     assert(out.map(s => (s.startTime, s.endTime)) == Seq((0L, 100L), (500L, 500L)))
   }
@@ -204,7 +210,7 @@ class SplitMergeSpec extends AnyFunSuite {
   test("segment values reconstruct only the present series") {
     val m = new SplitManager(1, 2, 100, gapCfg)
     val out = collection.mutable.ArrayBuffer.empty[SegmentRecord]
-    (0 until 6).foreach(i => out ++= m.consume(i * 100L, Array(8f, Float.NaN)))
+    (0 until 6).foreach(i => out ++= consume(m, i * 100L, Array(8f, Float.NaN)))
     out ++= m.close()
     val s = out.head
     assert(s.gaps == 2L)
@@ -230,7 +236,7 @@ class SplitMergeSpec extends AnyFunSuite {
     def feed(ts: Long, v: Array[Float]): Unit = {
       val afterSplit = m.stats.splits > 0
       v.indices.filterNot(k => v(k).isNaN).foreach(k => sent((k, ts)) = v(k))
-      out ++= m.consume(ts, v).map(afterSplit -> _)
+      out ++= consume(m, ts, v).map(afterSplit -> _)
     }
     var i = 0
     while (i < 100) { feed(i * 100L, Array(20f, 20f, 20f)); i += 1 }

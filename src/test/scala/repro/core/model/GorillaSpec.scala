@@ -61,6 +61,45 @@ class GorillaSpec extends AnyFunSuite {
     assert(corr.bytes < uncorr.bytes)
   }
 
+  test("bytes is the serialized length after every tick up to the length bound") {
+    val rng   = new Random(12)
+    val bound = 50
+    // Repeats, near neighbours and far jumps, so every control code occurs.
+    val ticks = (0 until bound + 1).map { t =>
+      Array.tabulate(3) { s =>
+        if (t % 7 == 0) 1.0f else if (t % 3 == 0) 100.0f + s * 0.001f else rng.nextFloat() * 1e4f
+      }
+    }
+    val f = Gorilla.newFitter(3, 0.0, bound)
+    ticks.take(bound).zipWithIndex.foreach { case (t, i) =>
+      assert(f.append(t))
+      assert(f.bytes == f.serialize().length, s"after tick $i")
+    }
+    val full = f.serialize()
+    assert(!f.append(ticks(bound)))
+    assert(f.length == bound && f.serialize().sameElements(full))
+    val dec = Gorilla.decode(full, 3, bound)
+    ticks.take(bound).flatten.zipWithIndex.foreach { case (v, i) => assert(dec(i) == v, s"value $i") }
+  }
+
+  test("NaN payloads, signed zeros, infinities and subnormals decode bit-exactly") {
+    val bits = Seq(0x7fc00000, 0x7f800001, 0x7fbfffff, 0xffc00123, 0x7fffffff, // NaNs
+                   0x00000000, 0x80000000, 0x7f800000, 0xff800000,              // ±0, ±∞
+                   0x00000001, 0x807fffff, 0x00400000, 0x80000001,              // subnormals
+                   0x00800000, 0x7f7fffff)                                      // extremes
+    val vals  = bits.map(java.lang.Float.intBitsToFloat)
+    // Two series, so consecutive values XOR across series and ticks alike.
+    val ticks = vals.grouped(2).map(p => Array(p.head, p.last)).toSeq
+    val f     = Gorilla.newFitter(2, 0.0, ticks.length)
+    ticks.foreach(t => assert(f.append(t)))
+    assert(f.bytes == f.serialize().length)
+    val dec = Gorilla.decode(f.serialize(), 2, ticks.length)
+    ticks.flatten.zipWithIndex.foreach { case (v, i) =>
+      assert(java.lang.Float.floatToRawIntBits(dec(i)) == java.lang.Float.floatToRawIntBits(v),
+             f"value $i: ${java.lang.Float.floatToRawIntBits(v)}%08x")
+    }
+  }
+
   test("length bound enforced") {
     val f = Gorilla.newFitter(1, 0.0, 5)
     (0 until 5).foreach(i => assert(f.append(Array(i.toFloat))))

@@ -31,7 +31,8 @@ final class SwingReference(nSeries: Int, epsilonPct: Double) extends ModelFitter
     (lo, hi)
   }
 
-  override def append(values: Array[Float]): Boolean = {
+  override def append(tick: Array[Float], offset: Int): Boolean = {
+    val values = tick.slice(offset, offset + nSeries)
     require(values.length == nSeries, s"expected $nSeries values, got ${values.length}")
     val (lo, hi) = tickBounds(values)
     if (lo > hi) return false
