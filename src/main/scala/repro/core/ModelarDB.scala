@@ -164,12 +164,8 @@ object ModelarDB {
   def segmentView(spark: SparkSession, cfg: Config, catalog: Catalog,
                   tids: Option[Seq[Int]] = None,
                   timeRange: Option[(Long, Long)] = None): DataFrame = {
-    requireSame(cfg.storePath, SegmentSource.catalogOf(cfg.storePath), catalog)
-    val sv = spark.read.format(SegmentSource.ViewFormatName).load(cfg.storePath)
-    val ofTids = tids.fold(sv)(ts => sv.filter(col("tid").isin(ts: _*)))
-    timeRange.fold(ofTids) { case (from, to) =>
-      ofTids.filter(col("end_time") >= from && col("start_time") <= to)
-    }
+    val sv = view(spark, cfg, catalog, SegmentSource.ViewFormatName, tids)
+    timeRange.fold(sv) { case (from, to) => sv.filter(col("end_time") >= from && col("start_time") <= to) }
   }
 
   /** The Data Point View over this store (Section VI-A), read from the
@@ -180,10 +176,18 @@ object ModelarDB {
   def dataPointView(spark: SparkSession, cfg: Config, catalog: Catalog,
                     tids: Option[Seq[Int]] = None,
                     timeRange: Option[(Long, Long)] = None): DataFrame = {
+    val dpv = view(spark, cfg, catalog, SegmentSource.PointsFormatName, tids)
+    timeRange.fold(dpv) { case (from, to) => dpv.filter(col("ts") >= from && col("ts") <= to) }
+  }
+
+  /** The store's scan in the view form `format`, once the store is known to
+    * hold `catalog`, restricted to the series `tids` if given.
+    */
+  private def view(spark: SparkSession, cfg: Config, catalog: Catalog, format: String,
+                   tids: Option[Seq[Int]]): DataFrame = {
     requireSame(cfg.storePath, SegmentSource.catalogOf(cfg.storePath), catalog)
-    val dpv = spark.read.format(SegmentSource.PointsFormatName).load(cfg.storePath)
-    val ofTids = tids.fold(dpv)(ts => dpv.filter(col("tid").isin(ts: _*)))
-    timeRange.fold(ofTids) { case (from, to) => ofTids.filter(col("ts") >= from && col("ts") <= to) }
+    val df = spark.read.format(format).load(cfg.storePath)
+    tids.fold(df)(ts => df.filter(col("tid").isin(ts: _*)))
   }
 
   /** Register `segment_view` and `datapoint_view` temp views plus the `*_S`

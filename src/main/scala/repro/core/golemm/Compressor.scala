@@ -73,42 +73,6 @@ object Compressor {
     }
   }
 
-  object Ticks {
-    /** The flat form of `rows`, one array of `nMembers` values per tick. */
-    def of(nMembers: Int, rows: Iterator[(Long, Array[Float])]): Ticks = {
-      val all     = rows.toArray
-      val ts      = new Array[Long](all.length)
-      val present = new Array[Long](all.length)
-      var n = 0
-      var k = 0
-      while (k < all.length) {
-        val row = all(k)._2
-        if (row.length != nMembers)
-          throw new IllegalArgumentException(s"expected $nMembers values, got ${row.length}")
-        var i = 0
-        while (i < nMembers) {
-          if (!row(i).isNaN) { present(k) |= 1L << i; n += 1 }
-          i += 1
-        }
-        ts(k) = all(k)._1
-        k += 1
-      }
-      val values = new Array[Float](n)
-      var at = 0
-      k = 0
-      while (k < all.length) {
-        var rest = present(k)
-        while (rest != 0) {
-          values(at) = all(k)._2(java.lang.Long.numberOfTrailingZeros(rest))
-          at += 1
-          rest &= rest - 1
-        }
-        k += 1
-      }
-      new Ticks(all.length, ts, present, values, nMembers)
-    }
-  }
-
   /** Compress one group.
     *
     * @param gid      group id
@@ -159,7 +123,10 @@ object Compressor {
   }
 
   /** [[compressGroup]] of ticks given as `(ts, one value per member)`, NaN
-    * for a member in a gap, as [[Ticks.rows]] gives them.
+    * for a member in a gap, as [[Ticks.rows]] gives them. The rows become
+    * one chunk, NaNs included, so an all-NaN row stays a tick of gaps, and
+    * the chunk goes through [[ticksFromChunks]], member positions naming the
+    * members.
     */
   def compressGroup(
       gid: Int,
@@ -168,8 +135,17 @@ object Compressor {
       scalings: Array[Double],
       ticks: Iterator[(Long, Array[Float])],
       cfg: GolemmConfig,
-  ): (Seq[SegmentRecord], GroupStats) =
-    compressGroup(gid, nMembers, si, scalings, Ticks.of(nMembers, ticks), cfg)
+  ): (Seq[SegmentRecord], GroupStats) = {
+    val aligned = oneChunkTicks(Array.range(0, nMembers), gid) { chunk =>
+      ticks.foreach { case (ts, row) =>
+        if (row.length != nMembers)
+          throw new IllegalArgumentException(s"expected $nMembers values, got ${row.length}")
+        var i = 0
+        while (i < nMembers) { chunk.add(ts, i.toByte, row(i)); i += 1 }
+      }
+    }
+    compressGroup(gid, nMembers, si, scalings, aligned, cfg)
+  }
 
   /** Points per [[GroupChunk]] at most, so an ingest map task's buffers stay
     * bounded however many points of one group it reads.
@@ -217,7 +193,9 @@ object Compressor {
     }
   }
 
-  /** One group's growable columns in a [[Chunker]]. */
+  /** One group's growable columns: in a [[Chunker]], which takes them at
+    * [[ChunkPoints]] points, or one adapter's whole input.
+    */
   private final class ChunkBuffer {
     private var ts     = new Array[Long](64)
     private var pos    = new Array[Byte](64)
@@ -227,10 +205,9 @@ object Compressor {
     /** Appends a point and returns the new point count. */
     def add(t: Long, p: Byte, v: Float): Int = {
       if (n == ts.length) {
-        val cap = math.min(2 * n, ChunkPoints)
-        ts = java.util.Arrays.copyOf(ts, cap)
-        pos = java.util.Arrays.copyOf(pos, cap)
-        values = java.util.Arrays.copyOf(values, cap)
+        ts = java.util.Arrays.copyOf(ts, 2 * n)
+        pos = java.util.Arrays.copyOf(pos, 2 * n)
+        values = java.util.Arrays.copyOf(values, 2 * n)
       }
       ts(n) = t; pos(n) = p; values(n) = v
       n += 1
@@ -247,10 +224,9 @@ object Compressor {
   }
 
   /** Build the aligned ticks of a group from per-point rows `(ts, tid,
-    * value)` in any order, as [[Ticks.rows]]: a wrapper over
-    * [[ticksFromChunks]]. `tids` must be the group's members in sorted order;
-    * rows with tids outside the group are rejected. `gid` only names the
-    * group in errors.
+    * value)` in any order, as [[Ticks.rows]]. `tids` must be the group's
+    * members in sorted order; rows with tids outside the group are rejected.
+    * `gid` only names the group in errors.
     */
   def ticksFromSortedPoints(
       tids: IndexedSeq[Int],
@@ -258,15 +234,23 @@ object Compressor {
       gid: Int = -1,
   ): Iterator[(Long, Array[Float])] = {
     val members = tids.toArray
-    val ts      = Array.newBuilder[Long]
-    val pos     = Array.newBuilder[Byte]
-    val values  = Array.newBuilder[Float]
-    rows.foreach { case (t, tid, v) =>
-      val p = java.util.Arrays.binarySearch(members, tid)
-      if (p < 0) sys.error(s"tid $tid is not a member of group $gid")
-      ts += t; pos += p.toByte; values += v
-    }
-    ticksFromChunks(members, Seq(GroupChunk(gid, ts.result(), pos.result(), values.result())), gid).rows
+    oneChunkTicks(members, gid) { chunk =>
+      rows.foreach { case (t, tid, v) =>
+        val p = java.util.Arrays.binarySearch(members, tid)
+        if (p < 0) sys.error(s"tid $tid is not a member of group $gid")
+        chunk.add(t, p.toByte, v)
+      }
+    }.rows
+  }
+
+  /** The ticks of the points that `fill` adds to one chunk of group `gid`,
+    * whose members are `tids`, sorted: the two row adapters above, over
+    * [[ticksFromChunks]].
+    */
+  private def oneChunkTicks(tids: Array[Int], gid: Int)(fill: ChunkBuffer => Unit): Ticks = {
+    val chunk = new ChunkBuffer
+    fill(chunk)
+    ticksFromChunks(tids, Seq(chunk.take(gid)), gid)
   }
 
   /** The tick assembler: aligns the points of group `gid`, given as chunks

@@ -213,6 +213,20 @@ final class SplitManager(
     true
   }
 
+  // Algorithm 2's greedy partition of the distinct `items`: the first one
+  // left and each other one left that `joins` it form the next part.
+  private def partition(items: Array[Int])(joins: (Int, Int) => Boolean): ArrayBuffer[Array[Int]] = {
+    val remaining = ArrayBuffer.from(items)
+    val parts     = ArrayBuffer.empty[Array[Int]]
+    while (remaining.nonEmpty) {
+      val head = remaining.head
+      val part = remaining.filter(m => m == head || joins(head, m))
+      parts += part.toArray
+      remaining --= part
+    }
+    parts
+  }
+
   // Algorithm 2: partition the sub-group's members by pairwise closeness of
   // their buffered points; gapped members stay grouped together.
   private def split(sub: Sub): Seq[SegmentRecord] = {
@@ -222,14 +236,7 @@ final class SplitManager(
     val column = sub.present.zipWithIndex.toMap
     val gapped = sub.members.filterNot(column.contains)
 
-    val remaining = ArrayBuffer.from(sub.present)
-    val parts     = ArrayBuffer.empty[Array[Int]]
-    while (remaining.nonEmpty) {
-      val head = remaining.head
-      val part = remaining.filter(m => m == head || withinDoubleBound(gen, column(head), gen, column(m)))
-      parts += part.toArray
-      remaining --= part
-    }
+    val parts = partition(sub.present)((head, m) => withinDoubleBound(gen, column(head), gen, column(m)))
     if (gapped.nonEmpty) parts += gapped
 
     if (parts.length <= 1) Nil
@@ -254,18 +261,11 @@ final class SplitManager(
     // Each sub-group's representative: its first present series, if any.
     val reps = subs.map(sub => if (sub.buffered == 0) None else Some(sub.gen))
     // Greedy clique merging over sub-groups, mirroring Algorithm 2.
-    val groups    = ArrayBuffer.empty[ArrayBuffer[Int]]
-    val remaining = ArrayBuffer.from(subs.indices)
-    while (remaining.nonEmpty) {
-      val head = remaining.head
-      val part = remaining.filter { j =>
-        j == head || ((reps(head), reps(j)) match {
-          case (Some(a), Some(b)) => withinDoubleBound(a, 0, b, 0)
-          case _                  => false
-        })
+    val groups = partition(subs.indices.toArray) { (head, j) =>
+      (reps(head), reps(j)) match {
+        case (Some(a), Some(b)) => withinDoubleBound(a, 0, b, 0)
+        case _                  => false
       }
-      groups += ArrayBuffer.from(part)
-      remaining --= part
     }
 
     if (groups.length == subs.length) {
@@ -279,7 +279,7 @@ final class SplitManager(
       groups.foreach { g =>
         if (g.length == 1) newSubs += subs(g.head)
         else {
-          val members = g.toArray.flatMap(j => subs(j).members).sorted
+          val members = g.flatMap(j => subs(j).members).sorted
           g.foreach(j => out ++= subs(j).close())
           newSubs += new Sub(members)
           merges += g.length - 1

@@ -44,6 +44,9 @@ sealed abstract class PmcType extends ModelType {
         nSum += v
         i += 1
       }
+      // A non-finite value leaves the bounds as they were (its tolerance is
+      // NaN or infinite), so the sum is what rejects it.
+      if (!java.lang.Double.isFinite(nSum)) return false
       val nCount = count + nSeries
       // Validate with the float-rounded value so serialization rounding can
       // never silently break the bound.
@@ -64,8 +67,11 @@ sealed abstract class PmcType extends ModelType {
 
   private def value(params: Array[Byte]): Float = ByteBuffer.wrap(params).getFloat
 
-  override def decode(params: Array[Byte], nSeries: Int, length: Int): Array[Float] =
-    Array.fill(length * nSeries)(value(params))
+  override def decode(params: Array[Byte], nSeries: Int, length: Int): Array[Float] = {
+    val out = new Array[Float](length * nSeries)
+    java.util.Arrays.fill(out, value(params))
+    out
+  }
 
   override def aggregate(params: Array[Byte], nSeries: Int, length: Int,
                          fromTick: Int, toTick: Int): Array[SeriesAgg] = {

@@ -45,18 +45,21 @@ object Swing extends ModelType {
     private var lowers = new Array[Double](16)
     private var uppers = new Array[Double](16)
     private var vMax   = 0.0
-    // The new tick's feasible value interval, set by `tickBounds`.
-    private var lo = 0.0
-    private var hi = 0.0
+    // The new tick's feasible value interval and the sum of its values, set
+    // by `tickBounds`.
+    private var lo  = 0.0
+    private var hi  = 0.0
+    private var sum = 0.0
 
     private def tickBounds(values: Array[Float], offset: Int): Unit = {
-      lo = Double.NegativeInfinity; hi = Double.PositiveInfinity
+      lo = Double.NegativeInfinity; hi = Double.PositiveInfinity; sum = 0.0
       var i = offset
       while (i < offset + nSeries) {
         val v   = values(i).toDouble
         val tol = ModelType.tolerance(v, epsilonPct)
         if (v - tol > lo) lo = v - tol
         if (v + tol < hi) hi = v + tol
+        sum += v
         i += 1
       }
     }
@@ -100,10 +103,10 @@ object Swing extends ModelType {
 
     override def append(values: Array[Float], offset: Int): Boolean = {
       tickBounds(values, offset)
-      if (lo > hi) return false
+      // A non-finite value leaves the bounds as they were (its tolerance is
+      // NaN or infinite), so the sum is what rejects it.
+      if (lo > hi || !java.lang.Double.isFinite(sum)) return false
       if (ticks == 0) {
-        var sum = 0.0; var i = offset
-        while (i < offset + nSeries) { sum += values(i); i += 1 }
         val b = math.min(hi, math.max(lo, sum / nSeries)).toFloat
         if (b.toDouble < lo || b.toDouble > hi) return false
         intercept = b

@@ -25,6 +25,9 @@ object SegmentCodec {
   val Magic: Int    = 0x53474D54 // "SGMT"
   val Version: Byte = 1
 
+  /** Bytes of a file's header: magic through rowCount. */
+  private val HeaderBytes = 4 + 1 + 4 + 4 + 8 + 8 + 4
+
   /** Summary of a file header, used for predicate-based file skipping. */
   final case class FileStats(minGid: Int, maxGid: Int, minEnd: Long, maxEnd: Long, rows: Int)
 
@@ -86,7 +89,7 @@ object SegmentCodec {
     }
     out.flush()
 
-    val header = ByteBuffer.allocate(4 + 1 + 4 + 4 + 8 + 8 + 4).order(ByteOrder.BIG_ENDIAN)
+    val header = ByteBuffer.allocate(HeaderBytes).order(ByteOrder.BIG_ENDIAN)
     header.putInt(Magic).put(Version)
     if (segments.isEmpty) header.putInt(0).putInt(-1).putLong(0L).putLong(-1L).putInt(0)
     else header
@@ -107,6 +110,7 @@ object SegmentCodec {
 
   /** Read only the header of a file image. */
   def stats(bytes: Array[Byte]): FileStats = {
+    if (bytes.length < HeaderBytes) throw new EOFException("file truncated")
     val bb = ByteBuffer.wrap(bytes).order(ByteOrder.BIG_ENDIAN)
     require(bb.getInt() == Magic, "not a segment file (bad magic)")
     require(bb.get() == Version, "unsupported segment file version")
@@ -116,7 +120,7 @@ object SegmentCodec {
   /** Decode every segment in a file image. */
   def decode(bytes: Array[Byte]): Seq[SegmentRecord] = {
     val st = stats(bytes)
-    val r  = new Reader(bytes, 4 + 1 + 4 + 4 + 8 + 8 + 4)
+    val r  = new Reader(bytes, HeaderBytes)
     val out = new ArrayBuffer[SegmentRecord](st.rows)
     var prevEnd = 0L
     var i = 0

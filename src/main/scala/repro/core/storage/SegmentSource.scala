@@ -4,6 +4,7 @@ import java.io.{File, IOException}
 import java.nio.file.{DirectoryNotEmptyException, Files, Paths, StandardCopyOption}
 import java.util.UUID
 import scala.collection.mutable.ArrayBuffer
+import scala.util.control.NonFatal
 
 import com.fasterxml.jackson.databind.json.JsonMapper
 import com.fasterxml.jackson.module.scala.DefaultScalaModule
@@ -382,9 +383,13 @@ private final class SegmentReaderFactory(pushed: SegmentSource.Pushed, schema: S
       case Some(g)           => new MemberRows(g, schema).of
     }
     val rows: Iterator[InternalRow] = files.iterator.flatMap { file =>
-      val bytes = Files.readAllBytes(Paths.get(file))
-      if (!pushed.matchesFile(SegmentCodec.stats(bytes))) Iterator.empty
-      else SegmentCodec.decode(bytes).iterator.filter(pushed.matchesRow).flatMap(rowsOf(_, file))
+      val segments = try {
+        val bytes = Files.readAllBytes(Paths.get(file))
+        if (pushed.matchesFile(SegmentCodec.stats(bytes))) SegmentCodec.decode(bytes) else Nil
+      } catch {
+        case NonFatal(e) => throw new IOException(s"segment file $file cannot be read: ${e.getMessage}", e)
+      }
+      segments.iterator.filter(pushed.matchesRow).flatMap(rowsOf(_, file))
     }
     new PartitionReader[InternalRow] {
       private var cur: InternalRow = _

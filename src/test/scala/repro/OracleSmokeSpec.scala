@@ -1,37 +1,46 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import repro.data.TimeSeriesGen
 
-/** Sanity checks of the provided DuckDB oracle and TPC-H-lite generators —
-  * the oracle must be trustworthy before every other suite leans on it.
+/** Sanity checks of the DuckDB oracle on generated time series — the oracle
+  * must be trustworthy before every other suite leans on it.
   */
 class OracleSmokeSpec extends SparkSpec {
 
-  test("lineitem aggregate matches DuckDB") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val got = li.groupBy("l_returnflag")
-      .agg(count(lit(1)).as("n"), sum("l_quantity").as("q"))
-      .select(col("l_returnflag"), col("n"), col("q"))
+  private lazy val ds = TimeSeriesGen.epLike(spark, sf = 0.001, gapProb = 0.01)
+
+  /** One row per series: its tid and its Production type and Measure
+    * category members.
+    */
+  private lazy val members = {
+    import spark.implicits._
+    ds.series.map(s => (s.tid, s.dims("Production")(0), s.dims("Measure")(0)))
+      .toDF("tid", "production_type", "measure_category")
+  }
+
+  test("per-series aggregate matches DuckDB") {
+    val got = ds.points.groupBy("tid")
+      .agg(count(lit(1)).as("n"), sum(col("value").cast("double")).as("s"))
     Oracle.assertEquivalent(
       got,
-      """SELECT l_returnflag, COUNT(*) AS n, SUM(CAST(l_quantity AS DOUBLE)) AS q
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li.select(col("l_returnflag"), col("l_quantity").cast("double")),
+      """SELECT CAST(tid AS INT) AS tid, COUNT(*) AS n, SUM(CAST(value AS DOUBLE)) AS s
+        |FROM pts GROUP BY CAST(tid AS INT)""".stripMargin,
+      "pts" -> TestStore.rawDouble(ds),
     )
   }
 
-  test("orders/customer join matches DuckDB") {
-    val o = SynthData.orders(spark, sf = 0.001)
-    val c = SynthData.customer(spark, sf = 0.001)
-    val got = o.join(c, o("o_custkey") === c("c_custkey"))
-      .groupBy("c_mktsegment").agg(count(lit(1)).as("n"))
+  test("points joined to dimension members match DuckDB") {
+    val got = ds.points.join(members, "tid")
+      .groupBy("production_type", "measure_category")
+      .agg(count(lit(1)).as("n"), sum(col("value").cast("double")).as("s"))
     Oracle.assertEquivalent(
       got,
-      """SELECT c_mktsegment, COUNT(*) AS n
-        |FROM orders o JOIN customer c ON CAST(o.o_custkey AS BIGINT) = CAST(c.c_custkey AS BIGINT)
-        |GROUP BY c_mktsegment""".stripMargin,
-      "orders"   -> o.select("o_custkey"),
-      "customer" -> c.select("c_custkey", "c_mktsegment"),
+      """SELECT m.production_type, m.measure_category, COUNT(*) AS n, SUM(CAST(p.value AS DOUBLE)) AS s
+        |FROM pts p JOIN members m ON CAST(p.tid AS INT) = CAST(m.tid AS INT)
+        |GROUP BY m.production_type, m.measure_category""".stripMargin,
+      "pts"     -> TestStore.rawDouble(ds),
+      "members" -> members,
     )
   }
 
@@ -49,21 +58,5 @@ class OracleSmokeSpec extends SparkSpec {
     intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(df, "SELECT a AS a, CAST(b AS INT) + 1 AS b FROM t", "t" -> df)
     }
-  }
-
-  test("generators are deterministic in (sf, seed)") {
-    val a = SynthData.lineitem(spark, sf = 0.0005).agg(sum("l_orderkey")).head().getLong(0)
-    val b = SynthData.lineitem(spark, sf = 0.0005).agg(sum("l_orderkey")).head().getLong(0)
-    assert(a == b)
-  }
-
-  test("zipf keys are skewed, uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, 20000, 1000)
-    val u = SynthData.uniformKeys(spark, 20000, 1000)
-    def topShare(df: org.apache.spark.sql.DataFrame): Double = {
-      val top = df.groupBy("k").count().orderBy(desc("count")).limit(1).head().getLong(1)
-      top.toDouble / 20000
-    }
-    assert(topShare(z) > topShare(u) * 3)
   }
 }

@@ -4,6 +4,8 @@ import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Types.{Group, GroupChunk}
 import repro.core.model.ModelType
+import repro.data.TimeSeriesGen
+import repro.data.TimeSeriesGen.SeriesSpec
 
 class CompressorSpec extends AnyFunSuite {
 
@@ -114,6 +116,37 @@ class CompressorSpec extends AnyFunSuite {
     assert((0 until points).forall(k => ticks.present(k) == 1L << (k % 64) && ticks.values(k) == k % 64))
     val (_, st) = Compressor.compressGroup(9, 64, 10, Array.fill(64)(1.0), ticks, cfg)
     assert(st.points == points)
+  }
+
+  test("the tuple compressGroup equals compressGroup of ticksFromChunks on the same points") {
+    val tids   = Array(1, 2, 3, 4)
+    val allNaN = 300 * 100L           // every member's value is NaN at this tick
+    val nanAt  = (100 * 100L, 1)      // and member 1's at this one
+    for (g <- 0 until 3; eps <- Seq(0.0, 10.0)) {
+      val specs = tids.toIndexedSeq.map(t =>
+        SeriesSpec(t, g, if (t <= 2) 0f else 0.25f * t, 100, 0L, 800, 0.01, 20, 11L + g))
+      val generated = specs.flatMap(TimeSeriesGen.seriesPoints).map(p => (p.ts, p.tid - 1) -> p.value).toMap
+      val points = (generated.filter(_._1._1 != allNaN) ++ tids.indices.map(m => (allNaN, m) -> Float.NaN) +
+                    (nanAt -> Float.NaN)).toSeq.sortBy(_._1)
+      val rows = points.groupBy(_._1._1).toSeq.sortBy(_._1).map { case (ts, ps) =>
+        val row = Array.fill(tids.length)(Float.NaN)
+        ps.foreach { case ((_, m), v) => row(m) = v }
+        (ts, row)
+      }
+      assert(points.length < rows.length * tids.length) // some members have gaps
+      val chunk = GroupChunk(g, points.map(_._1._1).toArray, points.map(_._1._2.toByte).toArray,
+                             points.map(_._2).toArray)
+      val scalings = Array(1.0, 1.0, 2.0, 1.0)
+      val golemm   = GolemmConfig(epsilonPct = eps, lengthBound = 50)
+      val (a, sa) = Compressor.compressGroup(g, tids.length, 100, scalings, rows.iterator, golemm)
+      val (b, sb) = Compressor.compressGroup(g, tids.length, 100, scalings,
+                                             Compressor.ticksFromChunks(tids, Seq(chunk), g), golemm)
+      assert(a.length > 1 && a == b, s"group $g eps $eps")
+      assert(sa.copy(splitMergeNanos = 0, totalNanos = 0) == sb.copy(splitMergeNanos = 0, totalNanos = 0))
+    }
+    val e = intercept[IllegalArgumentException](Compressor.compressGroup(1, 2, 100, Array(1.0, 1.0),
+      Iterator(0L -> Array(1f, 2f), 100L -> Array(3f)), cfg))
+    assert(e.getMessage == "expected 2 values, got 1")
   }
 
   test("compressGroup counts points, segments, model usage") {

@@ -14,8 +14,8 @@ class SplitMergeSpec extends AnyFunSuite {
 
   /** Feed `m` the group's tick at `ts` as one value per member, NaN = gap. */
   private def consume(m: SplitManager, ts: Long, values: Array[Float]): Seq[SegmentRecord] = {
-    val tick = Compressor.Ticks.of(values.length, Iterator(ts -> values))
-    m.consume(ts, tick.present(0), tick.values, 0)
+    val present = values.indices.filterNot(i => values(i).isNaN)
+    m.consume(ts, present.foldLeft(0L)((mask, i) => mask | 1L << i), present.map(values).toArray, 0)
   }
 
   /** Reconstruct (memberIdx -> ts -> value) from emitted segments. */

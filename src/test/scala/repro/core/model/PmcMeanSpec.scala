@@ -106,4 +106,20 @@ class PmcMeanSpec extends AnyFunSuite {
     // feasible interval [140-70, 100+50] = [70, 150] -> midpoint 110
     assert(math.abs(v - 110.0f) < 1e-3)
   }
+
+  test("PMC-Mean and PMC-MR reject a tick holding an infinity") {
+    // As the first tick, alone or beside a finite value, and as a later one.
+    val infinities = Seq(Float.PositiveInfinity, Float.NegativeInfinity)
+    for (mt <- Seq(PmcMean, PmcMidrange); eps <- Seq(0.0, 10.0); inf <- infinities) {
+      val what = s"${mt.name} at eps=$eps with $inf"
+      Seq(Array(inf), Array(5.0f, inf)).foreach { tick =>
+        val f = mt.newFitter(tick.length, eps, 1000)
+        assert(!f.append(tick) && f.length == 0, what)
+      }
+      val later = mt.newFitter(1, eps, 1000)
+      assert(later.append(Array(5.0f)), what)
+      assert(!later.append(Array(inf)) && later.length == 1, what)
+      assert(mt.decode(later.serialize(), 1, 1).toSeq == Seq(5.0f), what)
+    }
+  }
 }

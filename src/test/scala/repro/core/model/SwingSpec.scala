@@ -100,4 +100,18 @@ class SwingSpec extends AnyFunSuite {
   test("serialize of empty fitter rejects") {
     intercept[IllegalArgumentException](Swing.newFitter(1, 0.0, 10).serialize())
   }
+
+  test("Swing rejects a tick holding an infinity") {
+    // As the first tick, alone or beside a finite value, and as a later one.
+    for (eps <- Seq(0.0, 10.0); inf <- Seq(Float.PositiveInfinity, Float.NegativeInfinity)) {
+      Seq(Array(inf), Array(5.0f, inf)).foreach { tick =>
+        val f = Swing.newFitter(tick.length, eps, 1000)
+        assert(!f.append(tick) && f.length == 0, s"eps=$eps first tick ${tick.toSeq}")
+      }
+      val later = Swing.newFitter(1, eps, 1000)
+      assert(later.append(Array(5.0f)) && later.append(Array(6.0f)))
+      assert(!later.append(Array(inf)) && later.length == 2, s"eps=$eps later $inf")
+      assert(Swing.decode(later.serialize(), 1, 2).toSeq == Seq(5.0f, 6.0f))
+    }
+  }
 }

@@ -146,4 +146,23 @@ class SegmentSourceSpec extends SparkSpec {
            SegmentSource.listFiles(dir).map(_.length()).sum)
     assert(SegmentSource.storeBytes(dir) > 0)
   }
+
+  test("a damaged file fails the scan with its path in the message") {
+    def damaged(damage: Array[Byte] => Array[Byte]): String = {
+      val dir  = Stores.tmpDir("sgmt-damaged")
+      val file = SegmentSource.writeFile(dir, segments).toPath
+      Files.write(file, damage(Files.readAllBytes(file)))
+      file.toAbsolutePath.toString
+    }
+    Seq(
+      damaged(_.take(10))                                -> "file truncated", // inside the header
+      damaged(bytes => bytes.take(bytes.length - 3))     -> "file truncated", // inside the body
+      damaged(bytes => Array.fill[Byte](4)(0) ++ bytes.drop(4)) -> "bad magic",
+    ).foreach { case (file, cause) =>
+      val e = intercept[org.apache.spark.SparkException](
+        spark.read.format(SegmentSource.FormatName).load(new java.io.File(file).getParent).collect())
+      assert(e.getMessage.contains(s"segment file $file cannot be read") && e.getMessage.contains(cause),
+             e.getMessage)
+    }
+  }
 }

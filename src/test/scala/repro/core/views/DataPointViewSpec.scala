@@ -110,4 +110,34 @@ class DataPointViewSpec extends SparkSpec {
       (sum(abs(col("orig") - col("value"))) / sum(abs(col("orig"))) * 100).as("err")).head()
     assert(row.getDouble(0) < 10.0, s"avg error ${row.getDouble(0)}%")
   }
+
+  test("points of +inf and -inf come back bit-exact, every other point exact or within eps") {
+    val ds = TimeSeriesGen.epLike(spark, sf = 0.001, gapProb = 0.0, seed = 79)
+    val si = ds.series.head.si.toLong
+    // The first tick of tid 1's group, and later ticks of it and of another group.
+    val infinite = Map((1, 0L) -> Float.PositiveInfinity, (2, 17 * si) -> Float.NegativeInfinity,
+                       (1, 30 * si) -> Float.NegativeInfinity, (7, 40 * si) -> Float.PositiveInfinity)
+    val points = ds.points.withColumn("value", infinite.foldLeft(col("value")) { case (v, ((tid, ts), x)) =>
+      when(col("tid") === tid && col("ts") === ts, lit(x)).otherwise(v)
+    })
+    def byKey(df: org.apache.spark.sql.DataFrame) = {
+      val rows = df.select("tid", "ts", "value").collect().map(r => (r.getInt(0), r.getLong(1)) -> r.getFloat(2))
+      (rows.length, rows.toMap)
+    }
+    val (n, input) = byKey(points)
+    assert(infinite.forall { case (k, x) => input(k) == x })
+    Seq(0.0, 10.0).foreach { eps =>
+      val b = TestStore.build(spark, ds.copy(points = points), Seq(Correlation.Auto()),
+                              GolemmConfig(epsilonPct = eps))
+      val (m, got) = byKey(ModelarDB.dataPointView(spark, b.cfg, b.catalog))
+      assert(m == n && got.keySet == input.keySet, s"eps $eps")
+      input.foreach { case (k, v) =>
+        if (infinite.contains(k))
+          assert(java.lang.Float.floatToRawIntBits(got(k)) == java.lang.Float.floatToRawIntBits(v),
+                 s"eps $eps at $k: ${got(k)}")
+        else if (eps == 0.0) assert(got(k) == v, s"at $k")
+        else assert(math.abs(got(k).toDouble - v) <= eps / 100.0 * math.abs(v) + 1e-4, s"eps $eps at $k")
+      }
+    }
+  }
 }
