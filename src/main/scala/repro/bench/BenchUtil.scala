@@ -32,5 +32,4 @@ object BenchUtil {
 
   def mb(bytes: Long): String    = f"${bytes / 1048576.0}%.2f MiB"
   def secs(s: Double): String    = f"$s%.2f s"
-  def ratio(r: Double): String   = f"${r}%.2fx"
 }

@@ -4,6 +4,7 @@ import scala.collection.mutable
 
 import repro.core.Types.{Group, TimeSeriesMeta}
 import repro.core.grouping.{DimensionSpec, Dimensions}
+import repro.core.storage.SegmentSource
 
 /** The metadata of one ModelarDB+ store, which keeps it in `catalog.json`
   * (see [[repro.core.storage.SegmentSource]]): the paper's Time Series table
@@ -12,10 +13,11 @@ import repro.core.grouping.{DimensionSpec, Dimensions}
   * Small (O(#series)) and kept on the driver, mirroring the paper's in-memory
   * dimension cache; tasks get the compact [[GroupTable]] built from it.
   *
-  * Construction checks the invariants ingestion relies on: unique tids and
-  * gids, a positive SI and a finite non-zero scaling per series, at most 64
-  * members per group (the Gaps bitmask) sharing one SI, and groups that
-  * partition `series`.
+  * Construction checks the invariants ingestion and the views rely on:
+  * unique tids and gids, a positive SI and a finite non-zero scaling per
+  * series, at most 64 members per group (the Gaps bitmask) sharing one SI,
+  * groups that partition `series`, and unique dimension names whose columns
+  * differ from each other and from the views' own columns.
   */
 final case class Catalog(
     series: IndexedSeq[TimeSeriesMeta],
@@ -28,9 +30,12 @@ final case class Catalog(
   @transient lazy val gidOf: Map[Int, Int] =
     groups.flatMap(g => g.tids.map(_ -> g.gid)).toMap
 
-  Seq("tid" -> series.map(_.tid), "gid" -> groups.map(_.gid)).foreach { case (kind, ids) =>
+  Seq("tid" -> series.map(_.tid), "gid" -> groups.map(_.gid), "dimension" -> dims.map(_.name),
+      "view column" -> SegmentSource.schemaOf(points = false, dimColumns.map(_._1)).fieldNames.toSeq,
+      "view column" -> SegmentSource.schemaOf(points = true, dimColumns.map(_._1)).fieldNames.toSeq,
+  ).foreach { case (kind, ids) =>
     val repeated = ids.diff(ids.distinct)
-    require(repeated.isEmpty, s"$kind ${repeated.min} is used more than once")
+    require(repeated.isEmpty, s"$kind ${repeated.head} is used more than once")
   }
   groups.foreach { g =>
     require(g.tids.length <= 64,

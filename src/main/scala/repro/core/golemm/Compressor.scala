@@ -13,7 +13,6 @@ object Compressor {
 
   /** Per-group ingestion statistics. */
   final case class GroupStats(
-      gid: Int,
       points: Long,
       segments: Long,
       paramBytes: Long,
@@ -25,7 +24,6 @@ object Compressor {
       totalNanos: Long,
   ) {
     def merge(o: GroupStats): GroupStats = GroupStats(
-      gid = -1,
       points = points + o.points,
       segments = segments + o.segments,
       paramBytes = paramBytes + o.paramBytes,
@@ -40,7 +38,7 @@ object Compressor {
   }
 
   object GroupStats {
-    val zero: GroupStats = GroupStats(-1, 0, 0, 0, Map.empty, 0, 0, 0, 0, 0)
+    val zero: GroupStats = GroupStats(0, 0, 0, Map.empty, 0, 0, 0, 0, 0)
   }
 
   /** A group's aligned ticks in flat arrays, whose lengths grow with the

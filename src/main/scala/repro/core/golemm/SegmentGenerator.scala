@@ -9,7 +9,6 @@ final case class GolemmConfig(
     modelTypes: Seq[ModelType] = ModelType.defaultList,
     epsilonPct: Double = 10.0,
     lengthBound: Int = 50,
-    splitFraction: Double = 10.0,
     dynamicSplitting: Boolean = true,
 ) {
   require(modelTypes.nonEmpty, "at least one model type is required")

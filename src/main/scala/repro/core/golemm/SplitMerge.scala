@@ -17,7 +17,7 @@ import repro.core.model.ModelType
   * bound the overhead of re-partitioning:
   *
   *  - *Split*: when a freshly emitted segment's compression ratio falls below
-  *    `1/splitFraction` of the running average and data points are buffered,
+  *    `1/SplitFraction` of the running average and data points are buffered,
   *    the sub-group is re-partitioned by Algorithm 2 — series whose buffered
   *    points are pairwise within twice the error bound stay together;
   *    members currently in a gap are kept grouped.
@@ -46,9 +46,12 @@ final class SplitManager(
   private var splits, merges, mergeAttempts = 0
   private var splitMergeNanos               = 0L
 
+  /** The split trigger's divisor of the running average ratio (the paper's 10). */
+  private final val SplitFraction = 10.0
+
   /** The counters so far; `totalNanos` is left to the caller. */
   def stats: Compressor.GroupStats =
-    Compressor.GroupStats(gid, points, segments, paramBytes, perMid.toMap, splits, merges,
+    Compressor.GroupStats(points, segments, paramBytes, perMid.toMap, splits, merges,
                           mergeAttempts, splitMergeNanos, totalNanos = 0L)
 
   /** A sub-group: its `members` and, during a run, the `present` ones and
@@ -194,7 +197,7 @@ final class SplitManager(
 
   private def shouldSplit(sub: Sub, emitted: Seq[SegmentRecord]): Boolean = {
     val avg = if (ratioCount == 0) return false else ratioSum / ratioCount
-    sub.buffered > 0 && emitted.exists(s => ratioOf(s) < avg / cfg.splitFraction)
+    sub.buffered > 0 && emitted.exists(s => ratioOf(s) < avg / SplitFraction)
   }
 
   // Series a of generator ga and series b of gb are 2ε-compatible if, over

@@ -25,15 +25,21 @@ object Partitioner {
     */
   def partition(groups: Seq[Group], n: Int, siOf: Int => Int): Map[Int, Int] = {
     require(n > 0, "need at least one partition")
-    val loads = Array.fill(n)(0.0)
-    groups
-      .sortBy(g => -pointsPerMinute(g, siOf))
-      .map { g =>
-        val p = loads.indices.minBy(loads)
-        loads(p) += pointsPerMinute(g, siOf)
-        g.gid -> p
-      }
-      .toMap
+    longestFirst(groups, n)(pointsPerMinute(_, siOf)).map { case (g, p) => g.gid -> p }.toMap
+  }
+
+  /** The longest-processing-time greedy: `items` by descending weight (ties
+    * keep their order), each onto the least-loaded of `n` bins (the lowest
+    * on ties); returns each item with its bin. It plans ingest's groups and
+    * the segment scan's files.
+    */
+  def longestFirst[A](items: Seq[A], n: Int)(weight: A => Double): Seq[(A, Int)] = {
+    val loads = new Array[Double](n)
+    items.map(a => a -> weight(a)).sortBy(-_._2).map { case (a, w) =>
+      val p = loads.indices.minBy(loads)
+      loads(p) += w
+      a -> p
+    }
   }
 
   /** The imbalance the paper's objective measures: max load − min load. */

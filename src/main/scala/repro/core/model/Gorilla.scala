@@ -22,9 +22,8 @@ package repro.core.model
   * bit-encodes once, for the model that is emitted.
   */
 object Gorilla extends ModelType {
-  override val mid      = 3
-  override val name     = "Gorilla"
-  override val lossless = true
+  override val mid  = 3
+  override val name = "Gorilla"
 
   override def newFitter(nSeries: Int, epsilonPct: Double, lengthBound: Int): ModelFitter =
     new Fitter(nSeries, lengthBound)
@@ -150,9 +149,8 @@ object Gorilla extends ModelType {
   * types it is length-bounded.
   */
 object Fallback extends ModelType {
-  override val mid      = 0
-  override val name     = "Fallback"
-  override val lossless = true
+  override val mid  = 0
+  override val name = "Fallback"
 
   override def newFitter(nSeries: Int, epsilonPct: Double, lengthBound: Int): ModelFitter =
     new Fitter(nSeries, lengthBound)

@@ -50,9 +50,6 @@ trait ModelType extends Serializable {
 
   def name: String
 
-  /** Lossless types reconstruct values exactly and are length-bounded. */
-  def lossless: Boolean
-
   /** A fresh fitter for a segment with `nSeries` active series. */
   def newFitter(nSeries: Int, epsilonPct: Double, lengthBound: Int): ModelFitter
 

@@ -16,8 +16,6 @@ import repro.core.Types.SeriesAgg
   * variants differ only in the value they store, [[stored]].
   */
 sealed abstract class PmcType extends ModelType {
-  override val lossless = false
-
   /** The value the model stores for the feasible interval `[lower, upper]`
     * and the mean of the values appended so far.
     */

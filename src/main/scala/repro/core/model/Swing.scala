@@ -16,9 +16,8 @@ import repro.core.Types.SeriesAgg
   * serialization can never break the error bound.
   */
 object Swing extends ModelType {
-  override val mid      = 2
-  override val name     = "Swing"
-  override val lossless = false
+  override val mid  = 2
+  override val name = "Swing"
 
   /** Reconstructed value at `tick` — the single definition shared by the
     * fitter's validation, [[decode]] and [[aggregate]] so they agree bit-for-bit.

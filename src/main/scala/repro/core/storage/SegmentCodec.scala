@@ -4,6 +4,7 @@ import java.io.{ByteArrayOutputStream, DataOutputStream, EOFException}
 import java.nio.{ByteBuffer, ByteOrder}
 import scala.collection.mutable.ArrayBuffer
 import repro.core.Types.SegmentRecord
+import repro.core.model.ModelType
 
 /** Compact binary encoding of segment files (`.sgmt`).
   *
@@ -117,7 +118,9 @@ object SegmentCodec {
     FileStats(bb.getInt(), bb.getInt(), bb.getLong(), bb.getLong(), bb.getInt())
   }
 
-  /** Decode every segment in a file image. */
+  /** Decode every segment in a file image. A row whose Size or SI is not a
+    * positive Int, or whose Mid is no model type, is rejected.
+    */
   def decode(bytes: Array[Byte]): Seq[SegmentRecord] = {
     val st = stats(bytes)
     val r  = new Reader(bytes, HeaderBytes)
@@ -126,15 +129,18 @@ object SegmentCodec {
     var i = 0
     while (i < st.rows) {
       val gid  = r.varLong().toInt
-      val size = r.varLong().toInt
+      val size = r.varLong()
       val end  = prevEnd + unzigzag(r.varLong())
       prevEnd = end
-      val si     = r.varLong().toInt
+      val si     = r.varLong()
       val mid    = r.u8()
       val gaps   = r.varLong()
       val plen   = r.varLong().toInt
       val params = r.raw(plen)
-      out += SegmentRecord(gid, end - (size - 1).toLong * si, end, si, mid, params, gaps)
+      require(size > 0 && size <= Int.MaxValue, s"row $i has size $size")
+      require(si > 0 && si <= Int.MaxValue, s"row $i has sampling interval $si")
+      require(ModelType.byMid.contains(mid), s"row $i has model type $mid, which is unknown")
+      out += SegmentRecord(gid, end - (size - 1) * si, end, si.toInt, mid, params, gaps)
       i += 1
     }
     out.toSeq

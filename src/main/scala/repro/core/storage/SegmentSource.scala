@@ -22,30 +22,30 @@ import org.apache.spark.unsafe.types.UTF8String
 
 import repro.core.{Catalog, GroupTable}
 import repro.core.Types.SegmentRecord
+import repro.core.grouping.Partitioner
 import repro.core.model.ModelType
 
 /** DataSourceV2 provider for the segment group store (`.sgmt` files and the
   * store's catalog, `catalog.json`, on the local filesystem) — the paper's
-  * "Segment Storage" component, exposed to Spark as one table in three forms,
-  * one per format name (`spark.read.format(<format name>).load(path)`):
+  * "Segment Storage" component, exposed to Spark as the paper's two views,
+  * one per format name (`spark.read.format(<format name>).load(path)`).
+  * Segments reach the store only through [[SegmentSource.append]], whose
+  * files become visible together once its job has succeeded.
   *
-  *  - [[SegmentSource.FormatName]], the raw segments, [[SegmentSource.Schema]]
-  *    (paper Figure 6). Segments reach the store only through
-  *    [[SegmentSource.append]], whose files become visible together once its
-  *    job has succeeded.
   *  - [[SegmentSource.ViewFormatName]], the paper's Segment View (Section
-  *    VI-A): each segment is exploded into one row per member its Gaps
-  *    bitmask marks present, carrying the member's Tid, its position
-  *    `sidx` among the `nseries` present members, its scaling constant and
-  *    its denormalised dimension columns. A segment whose gid is not a group
-  *    of the store's catalog fails the scan with an error naming its file.
+  *    VI-A): each segment (paper Figure 6, [[SegmentSource.Schema]]) is
+  *    exploded into one row per member its Gaps bitmask marks present,
+  *    carrying the member's Tid, its position `sidx` among the `nseries`
+  *    present members, its scaling constant and its denormalised dimension
+  *    columns. A segment whose gid is not a group of the store's catalog
+  *    fails the scan with an error naming its file.
   *  - [[SegmentSource.PointsFormatName]], the paper's Data Point View: each
   *    segment is decoded once into `(tid, ts, value, <dimension columns>)`
   *    rows of its members.
   *
-  * Predicates on `gid`, `end_time` and `start_time` (the columns the paper
-  * pushes to Cassandra, Section VI-B) are pushed down. On the views, so are
-  * `=`, `IN`, `<`, `<=`, `>`, `>=` on `tid` and `=`/`IN` on dimension
+  * Predicates on `end_time` and `start_time` and `=`/`IN` on `gid` (the
+  * columns the paper pushes to Cassandra, Section VI-B) are pushed down, and
+  * so are `=`, `IN`, `<`, `<=`, `>`, `>=` on `tid` and `=`/`IN` on dimension
   * columns: each is evaluated against the catalog's series and the matching
   * Tids are rewritten to the Gids of their groups. The pushed bounds skip
   * whole files via the per-file min/max header and filter segments during the
@@ -55,8 +55,7 @@ import repro.core.model.ModelType
   * View, `ts >= a` and `ts <= b` are pushed as `end_time >= a` and
   * `start_time <= b`: the bounds of the segments that can hold such points.
   */
-sealed abstract class SegmentProvider private[storage] (formOf: String => SegmentSource.Form)
-    extends TableProvider {
+sealed abstract class SegmentProvider private[storage] (points: Boolean) extends TableProvider {
   override def inferSchema(options: CaseInsensitiveStringMap): StructType = table(options).schema()
 
   override def getTable(schema: StructType, partitioning: Array[Transform],
@@ -65,13 +64,12 @@ sealed abstract class SegmentProvider private[storage] (formOf: String => Segmen
   private def table(options: java.util.Map[String, String]): SegmentTable = {
     val path = options.get("path")
     require(path != null, "option 'path' is required for the segment store")
-    new SegmentTable(path, formOf(path))
+    new SegmentTable(path, SegmentSource.Form(SegmentSource.catalogOf(path), points))
   }
 }
 
-final class SegmentSource extends SegmentProvider(_ => SegmentSource.Raw)
-final class SegmentViewSource extends SegmentProvider(p => SegmentSource.SegmentRows(SegmentSource.catalogOf(p)))
-final class DataPointSource extends SegmentProvider(p => SegmentSource.PointRows(SegmentSource.catalogOf(p)))
+final class SegmentViewSource extends SegmentProvider(points = false)
+final class DataPointSource extends SegmentProvider(points = true)
 
 object SegmentSource {
   /** The segment table schema (paper Figure 6; `start_time` is materialized
@@ -87,36 +85,32 @@ object SegmentSource {
     StructField("gaps", LongType, nullable = false),
   ))
 
-  val FormatName: String       = classOf[SegmentSource].getName
   val ViewFormatName: String   = classOf[SegmentViewSource].getName
   val PointsFormatName: String = classOf[DataPointSource].getName
 
-  /** What a table reads: the raw segments, or a view with the store's
-    * catalog. The catalog stays on the driver: a view's readers get its
-    * [[GroupTable]] with the members' dimension values instead.
+  /** Which view a table reads, and the store's catalog. The catalog stays on
+    * the driver: the readers get its [[GroupTable]] with the members'
+    * dimension values instead.
     */
-  private[storage] sealed abstract class Form(val catalog: Option[Catalog]) {
-    lazy val groups: Option[GroupTable] = catalog.map(GroupTable(_, withDims = true))
+  private[storage] final case class Form(catalog: Catalog, points: Boolean) {
+    lazy val schema: StructType = schemaOf(points, catalog.dimColumns.map(_._1))
+    lazy val groups: GroupTable = GroupTable(catalog, withDims = true)
   }
-  private[storage] case object Raw extends Form(None)
-  private[storage] final case class SegmentRows(c: Catalog) extends Form(Some(c))
-  private[storage] final case class PointRows(c: Catalog) extends Form(Some(c))
 
-  /** [[Schema]] for the raw form. The Segment View's: the member's `tid`
-    * first, then [[Schema]], then the member's position `sidx` among the
-    * segment's `nseries` represented members, its `scaling` and the
-    * catalog's dimension columns. The Data Point View's: `tid`, `ts`,
-    * `value` and the dimension columns.
+  /** The Segment View's schema: the member's `tid` first, then [[Schema]],
+    * then the member's position `sidx` among the segment's `nseries`
+    * represented members, its `scaling` and the dimension columns. The Data
+    * Point View's (if `points`): `tid`, `ts`, `value` and the dimension
+    * columns.
     */
-  private[storage] def schemaOf(form: Form): StructType =
-    form.catalog.fold(Schema)(c => StructType(
-      StructField("tid", IntegerType, nullable = false) +: (if (form.isInstanceOf[PointRows]) Seq(
-        StructField("ts", LongType, nullable = false),
-        StructField("value", FloatType, nullable = false)) else Schema.fields ++: Seq(
-        StructField("sidx", IntegerType, nullable = false),
-        StructField("nseries", IntegerType, nullable = false),
-        StructField("scaling", DoubleType, nullable = false))) ++:
-        c.dimColumns.map { case (name, _, _) => StructField(name, StringType) }))
+  private[core] def schemaOf(points: Boolean, dimColumns: Seq[String]): StructType = StructType(
+    StructField("tid", IntegerType, nullable = false) +: (if (points) Seq(
+      StructField("ts", LongType, nullable = false),
+      StructField("value", FloatType, nullable = false)) else Schema.fields ++: Seq(
+      StructField("sidx", IntegerType, nullable = false),
+      StructField("nseries", IntegerType, nullable = false),
+      StructField("scaling", DoubleType, nullable = false))) ++:
+      dimColumns.map(StructField(_, StringType)))
 
   private val CatalogFile = "catalog.json"
   private lazy val Json = JsonMapper.builder().addModule(DefaultScalaModule).build()
@@ -162,33 +156,27 @@ object SegmentSource {
     */
   final case class Pushed(
       gids: Option[Set[Int]] = None,
-      minGid: Int = Int.MinValue, maxGid: Int = Int.MaxValue,
       minEnd: Long = Long.MinValue, maxEnd: Long = Long.MaxValue,
       minStart: Long = Long.MinValue, maxStart: Long = Long.MaxValue,
   ) extends Serializable {
 
-    def matchesFile(st: SegmentCodec.FileStats): Boolean = {
-      val gidOk = gids.forall(g => g.exists(x => x >= st.minGid && x <= st.maxGid)) &&
-        st.maxGid >= minGid && st.minGid <= maxGid
-      // start_time bounds cannot prune files (only end_time is in the header).
-      gidOk && st.maxEnd >= minEnd && st.minEnd <= maxEnd
-    }
+    // start_time bounds cannot prune files (only end_time is in the header).
+    def matchesFile(st: SegmentCodec.FileStats): Boolean =
+      gids.forall(g => g.exists(x => x >= st.minGid && x <= st.maxGid)) &&
+        st.maxEnd >= minEnd && st.minEnd <= maxEnd
 
     def matchesRow(s: SegmentRecord): Boolean =
       gids.forall(_.contains(s.gid)) &&
-        s.gid >= minGid && s.gid <= maxGid &&
         s.endTime >= minEnd && s.endTime <= maxEnd &&
         s.startTime >= minStart && s.startTime <= maxStart
 
     /** The bounds as EXPLAIN prints them; unbounded ones are left out. */
     def describe: String = {
-      def range[T](name: String, lo: T, hi: T, min: T, max: T): Option[String] =
-        if (lo == min && hi == max) None
-        else Some(s"$name=[${if (lo == min) "-inf" else lo}, ${if (hi == max) "inf" else hi}]")
+      def range(name: String, lo: Long, hi: Long): Option[String] =
+        if (lo == Long.MinValue && hi == Long.MaxValue) None
+        else Some(s"$name=[${if (lo == Long.MinValue) "-inf" else lo}, ${if (hi == Long.MaxValue) "inf" else hi}]")
       (gids.map(g => g.toSeq.sorted.mkString("gids={", ", ", "}")) ++
-        range("gid", minGid, maxGid, Int.MinValue, Int.MaxValue) ++
-        range("end_time", minEnd, maxEnd, Long.MinValue, Long.MaxValue) ++
-        range("start_time", minStart, maxStart, Long.MinValue, Long.MaxValue))
+        range("end_time", minEnd, maxEnd) ++ range("start_time", minStart, maxStart))
         .mkString("SegmentScan(", ", ", ")")
     }
   }
@@ -205,10 +193,6 @@ object SegmentSource {
       case f @ In("gid", vs) if vs.forall(_.isInstanceOf[Int]) =>
         val set = vs.collect { case i: Int => i }.toSet
         p = p.copy(gids = Some(intersect(p.gids, set))); used += f
-      case f @ GreaterThan("gid", v: Int)         => p = p.copy(minGid = math.max(p.minGid, v + 1)); used += f
-      case f @ GreaterThanOrEqual("gid", v: Int)  => p = p.copy(minGid = math.max(p.minGid, v)); used += f
-      case f @ LessThan("gid", v: Int)            => p = p.copy(maxGid = math.min(p.maxGid, v - 1)); used += f
-      case f @ LessThanOrEqual("gid", v: Int)     => p = p.copy(maxGid = math.min(p.maxGid, v)); used += f
       case f @ GreaterThan("end_time", v: Long)   => p = p.copy(minEnd = bump(p.minEnd, v + 1)); used += f
       case f @ GreaterThanOrEqual("end_time", v: Long) => p = p.copy(minEnd = bump(p.minEnd, v)); used += f
       case f @ LessThan("end_time", v: Long)      => p = p.copy(maxEnd = math.min(p.maxEnd, v - 1)); used += f
@@ -305,9 +289,6 @@ object SegmentSource {
 
   /** Total size of a store's `.sgmt` files in bytes. */
   def storeBytes(path: String): Long = listFiles(path).map(_.length()).sum
-
-  private[storage] def toRow(s: SegmentRecord): InternalRow =
-    new GenericInternalRow(Array[Any](s.gid, s.startTime, s.endTime, s.si, s.mid, s.params, s.gaps))
 }
 
 // ---- table -----------------------------------------------------------------
@@ -315,7 +296,7 @@ object SegmentSource {
 private final class SegmentTable(path: String, form: SegmentSource.Form)
     extends Table with SupportsRead {
   override def name(): String          = s"segments(`$path`)"
-  override def schema(): StructType    = SegmentSource.schemaOf(form)
+  override def schema(): StructType    = form.schema
   override def capabilities(): java.util.Set[TableCapability] =
     java.util.EnumSet.of(TableCapability.BATCH_READ)
 
@@ -331,7 +312,7 @@ private final class SegmentScanBuilder(path: String, form: SegmentSource.Form)
   private var used: Array[Filter]          = Array.empty
 
   override def pushFilters(filters: Array[Filter]): Array[Filter] = {
-    val (p, u) = SegmentSource.extract(filters, form.catalog)
+    val (p, u) = SegmentSource.extract(filters, Some(form.catalog))
     pushed = p
     used = u
     filters // keep everything in the residual: pruning only, never semantics
@@ -340,48 +321,41 @@ private final class SegmentScanBuilder(path: String, form: SegmentSource.Form)
   override def pushedFilters(): Array[Filter] = used
 
   override def build(): Scan = new Scan with Batch {
-    override def readSchema(): StructType = SegmentSource.schemaOf(form)
+    override def readSchema(): StructType = form.schema
     override def description(): String    = pushed.describe
     override def toBatch: Batch           = this
 
     /** At most one partition per core, the files spread over them by size
-      * (largest first onto the lightest), so the number of tasks does not
-      * grow with the number of ingest batches a store was written in.
+      * ([[Partitioner.longestFirst]]), so the number of tasks does not grow
+      * with the number of ingest batches a store was written in.
       */
     override def planInputPartitions(): Array[InputPartition] = {
-      val files = SegmentSource.listFiles(path).sortBy(-_.length())
+      val files = SegmentSource.listFiles(path)
       val n     = math.min(files.length, SparkSession.active.sparkContext.defaultParallelism)
       val parts = Array.fill(n)(ArrayBuffer.empty[String])
-      val bytes = new Array[Long](n)
-      files.foreach { f =>
-        val i = bytes.indices.minBy(bytes(_))
+      Partitioner.longestFirst(files, n)(_.length().toDouble).foreach { case (f, i) =>
         parts(i) += f.getAbsolutePath
-        bytes(i) += f.length()
       }
       parts.map(p => SegmentFilesPartition(p.toSeq): InputPartition)
     }
 
     override def createReaderFactory(): PartitionReaderFactory =
-      new SegmentReaderFactory(pushed, readSchema(), form.groups, form.isInstanceOf[SegmentSource.PointRows])
+      new SegmentReaderFactory(pushed, readSchema(), form.groups, form.points)
   }
 }
 
 private final case class SegmentFilesPartition(files: Seq[String]) extends InputPartition
 
-/** A scan's readers: the raw segments without `groups`; with them, the
-  * Segment View's member rows, or the Data Point View's if `points`. The
-  * driver derives `schema` and builds `groups`.
+/** A scan's readers: the Segment View's member rows, or the Data Point
+  * View's if `points`. The driver derives `schema` and builds `groups`.
   */
 private final class SegmentReaderFactory(pushed: SegmentSource.Pushed, schema: StructType,
-                                         groups: Option[GroupTable], points: Boolean)
+                                         groups: GroupTable, points: Boolean)
     extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
-    val files = partition.asInstanceOf[SegmentFilesPartition].files
-    val rowsOf: (SegmentRecord, String) => Iterator[InternalRow] = groups match {
-      case None              => (s, _) => Iterator.single(SegmentSource.toRow(s))
-      case Some(g) if points => new MemberRows(g, schema).points
-      case Some(g)           => new MemberRows(g, schema).of
-    }
+    val files   = partition.asInstanceOf[SegmentFilesPartition].files
+    val members = new MemberRows(groups, schema)
+    val rowsOf: (SegmentRecord, String) => Iterator[InternalRow] = if (points) members.points else members.of
     val rows: Iterator[InternalRow] = files.iterator.flatMap { file =>
       val segments = try {
         val bytes = Files.readAllBytes(Paths.get(file))

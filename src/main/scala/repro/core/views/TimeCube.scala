@@ -18,22 +18,22 @@ import org.apache.spark.sql.functions._
 object TimeCube {
 
   /** Supported roll-up levels in the time dimension (UTC calendar). */
-  sealed abstract class Interval(val name: String) extends Serializable {
+  sealed abstract class Interval extends Serializable {
     /** Start of the interval containing `ts` (epoch ms). */
     def floor(ts: Long): Long
     /** Start of the interval after the one starting at `bucketStart`. */
     def next(bucketStart: Long): Long
   }
 
-  case object Hour extends Interval("hour") {
+  case object Hour extends Interval {
     override def floor(ts: Long): Long       = ts - Math.floorMod(ts, 3600000L)
     override def next(bucketStart: Long): Long = bucketStart + 3600000L
   }
-  case object Day extends Interval("day") {
+  case object Day extends Interval {
     override def floor(ts: Long): Long       = ts - Math.floorMod(ts, 86400000L)
     override def next(bucketStart: Long): Long = bucketStart + 86400000L
   }
-  case object Month extends Interval("month") {
+  case object Month extends Interval {
     override def floor(ts: Long): Long =
       ZonedDateTime.ofInstant(Instant.ofEpochMilli(ts), ZoneOffset.UTC)
         .truncatedTo(ChronoUnit.DAYS).withDayOfMonth(1).toInstant.toEpochMilli
@@ -41,8 +41,6 @@ object TimeCube {
       ZonedDateTime.ofInstant(Instant.ofEpochMilli(bucketStart), ZoneOffset.UTC)
         .plusMonths(1).toInstant.toEpochMilli
   }
-
-  val intervals: Map[String, Interval] = Seq(Hour, Day, Month).map(i => i.name -> i).toMap
 
   /** Per-(row, bucket) partial aggregates of a Segment View: the input
     * columns minus the model internals, plus `(bucket, cnt, psum, pmin,

@@ -1,12 +1,16 @@
 package repro
 
+import java.nio.file.Files
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.bench.Stores
 import repro.core.{Catalog, ModelarDB}
+import repro.core.Types.SegmentRecord
 import repro.core.golemm.GolemmConfig
 import repro.core.grouping.Correlation
+import repro.core.storage.{SegmentCodec, SegmentSource}
 import repro.data.TimeSeriesGen
 
 /** Shared helper for Spark integration tests: build a small ModelarDB+ store
@@ -33,6 +37,12 @@ object TestStore {
     val stats = ModelarDB.ingest(spark, cfg, setup, dataset.points)
     Built(cfg, setup.catalog, stats, dataset)
   }
+
+  /** Every segment the store at `path` holds, decoded from its files without
+    * the scan: the reference that checks what the views read.
+    */
+  def segments(path: String): Seq[SegmentRecord] =
+    SegmentSource.listFiles(path).flatMap(f => SegmentCodec.decode(Files.readAllBytes(f.toPath)))
 
   /** The raw points with `value` cast to double — the canonical comparison
     * input for the DuckDB oracle (exact, order-independent sums because

@@ -119,6 +119,17 @@ class CatalogSpec extends AnyFunSuite {
              .contains("series 1 has scaling NaN; it must be finite and non-zero"))
   }
 
+  test("a repeated dimension name or a dimension column that repeats a view column is rejected") {
+    def msg(dims: DimensionSpec*): String = intercept[IllegalArgumentException](
+      Catalog(IndexedSeq(TimeSeriesMeta(1, 100)), IndexedSeq(Group(1, IndexedSeq(1))), dims)).getMessage
+    assert(msg(DimensionSpec("Location", IndexedSeq("Park")), DimensionSpec("Location", IndexedSeq("Turbine")))
+             .contains("dimension Location is used more than once"))
+    assert(msg(DimensionSpec("A", IndexedSeq("B_C")), DimensionSpec("A_B", IndexedSeq("C")))
+             .contains("view column a_b_c is used more than once"))
+    assert(msg(DimensionSpec("Start", IndexedSeq("Time")))
+             .contains("view column start_time is used more than once"))
+  }
+
   test("SeriesAgg merge combines statistics") {
     import repro.core.Types.SeriesAgg
     val a = SeriesAgg(2, 10.0, 1.0, 9.0)

@@ -184,8 +184,8 @@ class CompressorSpec extends AnyFunSuite {
   }
 
   test("GroupStats merge adds counters") {
-    val a = Compressor.GroupStats(1, 10, 2, 20, Map(1 -> 2L), 1, 0, 3, 5L, 7L)
-    val b = Compressor.GroupStats(2, 5, 1, 8, Map(1 -> 1L, 3 -> 1L), 0, 1, 1, 2L, 3L)
+    val a = Compressor.GroupStats(10, 2, 20, Map(1 -> 2L), 1, 0, 3, 5L, 7L)
+    val b = Compressor.GroupStats(5, 1, 8, Map(1 -> 1L, 3 -> 1L), 0, 1, 1, 2L, 3L)
     val m = a.merge(b)
     assert(m.points == 15 && m.segments == 3 && m.paramBytes == 28)
     assert(m.perMid == Map(1 -> 3L, 3 -> 1L))

@@ -107,8 +107,7 @@ class GorillaSpec extends AnyFunSuite {
     assert(f.length == 5)
   }
 
-  test("lossless flag and no epsilon dependence") {
-    assert(Gorilla.lossless)
+  test("no epsilon dependence") {
     val fA = Gorilla.newFitter(1, 0.0, 10)
     val fB = Gorilla.newFitter(1, 50.0, 10)
     (0 until 10).foreach { i =>

@@ -82,7 +82,7 @@ class PmcMeanSpec extends AnyFunSuite {
     assert(agg(0) == SeriesAgg(5, 50.0, 10.0, 10.0))
     // must equal the generic decode-based default
     val fallbackAgg = new ModelType {
-      def mid = -1; def name = "x"; def lossless = false
+      def mid = -1; def name = "x"
       def newFitter(n: Int, e: Double, l: Int) = sys.error("n/a")
       def decode(pp: Array[Byte], n: Int, l: Int) = PmcMean.decode(pp, n, l)
     }.aggregate(p, 2, 7, 1, 5)

@@ -1,15 +1,17 @@
 package repro.core.storage
 
 import java.nio.file.Files
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.bench.Stores
-import repro.core.Types.SegmentRecord
+import repro.core.Catalog
+import repro.core.Types.{Group, SegmentRecord, TimeSeriesMeta}
 
 class SegmentSourceSpec extends SparkSpec {
 
-  private def seg(gid: Int, start: Long, end: Long, si: Int = 100): SegmentRecord =
-    SegmentRecord(gid, start, end, si, 1,
+  private def seg(gid: Int, start: Long, end: Long, si: Int = 100, mid: Int = 1): SegmentRecord =
+    SegmentRecord(gid, start, end, si, mid,
                   java.nio.ByteBuffer.allocate(4).putFloat(1.5f).array(), 0L)
 
   private def segments: Seq[SegmentRecord] =
@@ -17,21 +19,40 @@ class SegmentSourceSpec extends SparkSpec {
       (0 until 25).map(i => seg(gid, i * 5000L, i * 5000L + 4900L))
     }
 
+  /** A catalog of one-member groups, tid = gid = 1 to 4 at SI 100, so each
+    * segment is one Segment View row.
+    */
+  private val catalog = Catalog((1 to 4).map(TimeSeriesMeta(_, 100)),
+                                (1 to 4).map(g => Group(g, IndexedSeq(g))), Nil)
+
+  /** A new store directory that holds [[catalog]]. */
+  private def store(prefix: String = "sgmt-test"): String = {
+    val dir = Stores.tmpDir(prefix)
+    SegmentSource.writeCatalog(dir, catalog)
+    dir
+  }
+
+  private def segmentView(dir: String): DataFrame =
+    spark.read.format(SegmentSource.ViewFormatName).load(dir)
+
+  private def pointView(dir: String): DataFrame =
+    spark.read.format(SegmentSource.PointsFormatName).load(dir)
+
   test("bulk writeFile + DataFrame read roundtrip") {
-    val dir = Stores.tmpDir("sgmt-test")
+    val dir = store()
     SegmentSource.writeFile(dir, segments)
-    val df = spark.read.format(SegmentSource.FormatName).load(dir)
+    val df = segmentView(dir)
     assert(df.count() == 100)
     val row = df.filter(col("gid") === 2 && col("start_time") === 0L).head()
-    assert(row.getLong(2) == 4900L && row.getInt(3) == 100 && row.getInt(4) == 1)
+    assert(row.getAs[Long]("end_time") == 4900L && row.getAs[Int]("si") == 100 && row.getAs[Int]("mid") == 1)
     assert(row.getAs[Array[Byte]]("params").length == 4)
   }
 
   test("write path appends files readable back") {
-    val dir = Stores.tmpDir("sgmt-test")
+    val dir = store()
     SegmentSource.append(dir, spark.sparkContext.parallelize(segments, 4))
     assert(SegmentSource.listFiles(dir).nonEmpty)
-    val back = spark.read.format(SegmentSource.FormatName).load(dir)
+    val back = segmentView(dir)
     assert(back.count() == 100)
     assert(back.select(sum("end_time")).head().getLong(0) ==
            segments.map(_.endTime).sum)
@@ -58,18 +79,17 @@ class SegmentSourceSpec extends SparkSpec {
   }
 
   test("gid equality filter returns exactly that group") {
-    val dir = Stores.tmpDir("sgmt-test")
+    val dir = store()
     SegmentSource.writeFile(dir, segments)
-    val df = spark.read.format(SegmentSource.FormatName).load(dir)
-      .filter(col("gid") === 3)
+    val df = segmentView(dir).filter(col("gid") === 3)
     assert(df.count() == 25)
     assert(df.select("gid").distinct().head().getInt(0) == 3)
   }
 
   test("gid IN and end_time range filters compose") {
-    val dir = Stores.tmpDir("sgmt-test")
+    val dir = store()
     SegmentSource.writeFile(dir, segments)
-    val df = spark.read.format(SegmentSource.FormatName).load(dir)
+    val df = segmentView(dir)
       .filter(col("gid").isin(1, 4) && col("end_time") >= 50000L && col("end_time") <= 80000L)
     val expected = segments.count(s =>
       (s.gid == 1 || s.gid == 4) && s.endTime >= 50000L && s.endTime <= 80000L)
@@ -89,10 +109,9 @@ class SegmentSourceSpec extends SparkSpec {
   }
 
   test("start_time filters work (recomputed column)") {
-    val dir = Stores.tmpDir("sgmt-test")
+    val dir = store()
     SegmentSource.writeFile(dir, segments)
-    val df = spark.read.format(SegmentSource.FormatName).load(dir)
-      .filter(col("start_time") >= 100000L)
+    val df = segmentView(dir).filter(col("start_time") >= 100000L)
     assert(df.count() == segments.count(_.startTime >= 100000L).toLong)
   }
 
@@ -100,19 +119,19 @@ class SegmentSourceSpec extends SparkSpec {
     import org.apache.spark.sql.sources._
     val (p, used) = SegmentSource.extract(Array(
       GreaterThan("end_time", 10L), LessThanOrEqual("end_time", 99L),
-      GreaterThanOrEqual("gid", 2), LessThan("gid", 7),
+      GreaterThanOrEqual("gid", 2), LessThan("gid", 7), // gid ranges: not pushed
       IsNotNull("params"), // unsupported: ignored
     ))
-    assert(p.minEnd == 11L && p.maxEnd == 99L && p.minGid == 2 && p.maxGid == 6)
-    assert(used.length == 4)
+    assert(p == SegmentSource.Pushed(minEnd = 11L, maxEnd = 99L))
+    assert(used.length == 2)
   }
 
   test("many files are read in at most one partition per core, each row once") {
-    val dir = Stores.tmpDir("sgmt-test")
+    val dir = store()
     segments.grouped(5).foreach(SegmentSource.writeFile(dir, _))
     val cores = spark.sparkContext.defaultParallelism
     assert(SegmentSource.listFiles(dir).length == 20 && cores < 20)
-    val df = spark.read.format(SegmentSource.FormatName).load(dir)
+    val df = segmentView(dir)
     assert(df.rdd.getNumPartitions == cores)
     assert(df.select("gid", "start_time").distinct().count() == 100 && df.count() == 100)
   }
@@ -129,13 +148,6 @@ class SegmentSourceSpec extends SparkSpec {
         SegmentSource.Schema, Array.empty, java.util.Map.of("path", dir)))
       assert(table.getMessage == message, format)
     }
-    // The raw form needs no catalog.
-    assert(spark.read.format(SegmentSource.FormatName).load(dir).count() == 100)
-  }
-
-  test("reading a missing directory yields an empty frame") {
-    val df = spark.read.format(SegmentSource.FormatName).load(Stores.tmpDir("sgmt-test") + "/nope")
-    assert(df.count() == 0)
   }
 
   test("storeBytes sums the files") {
@@ -147,10 +159,19 @@ class SegmentSourceSpec extends SparkSpec {
     assert(SegmentSource.storeBytes(dir) > 0)
   }
 
+  /** Both views over the one file in `dir` fail naming it and `cause`. */
+  private def assertUnreadable(file: String, cause: String): Unit = {
+    val dir = new java.io.File(file).getParent
+    Seq(segmentView(dir), pointView(dir)).foreach { view =>
+      val e = intercept[org.apache.spark.SparkException](view.collect())
+      assert(e.getMessage.contains(s"segment file $file cannot be read") && e.getMessage.contains(cause),
+             e.getMessage)
+    }
+  }
+
   test("a damaged file fails the scan with its path in the message") {
     def damaged(damage: Array[Byte] => Array[Byte]): String = {
-      val dir  = Stores.tmpDir("sgmt-damaged")
-      val file = SegmentSource.writeFile(dir, segments).toPath
+      val file = SegmentSource.writeFile(store("sgmt-damaged"), segments).toPath
       Files.write(file, damage(Files.readAllBytes(file)))
       file.toAbsolutePath.toString
     }
@@ -158,11 +179,17 @@ class SegmentSourceSpec extends SparkSpec {
       damaged(_.take(10))                                -> "file truncated", // inside the header
       damaged(bytes => bytes.take(bytes.length - 3))     -> "file truncated", // inside the body
       damaged(bytes => Array.fill[Byte](4)(0) ++ bytes.drop(4)) -> "bad magic",
-    ).foreach { case (file, cause) =>
-      val e = intercept[org.apache.spark.SparkException](
-        spark.read.format(SegmentSource.FormatName).load(new java.io.File(file).getParent).collect())
-      assert(e.getMessage.contains(s"segment file $file cannot be read") && e.getMessage.contains(cause),
-             e.getMessage)
+    ).foreach { case (file, cause) => assertUnreadable(file, cause) }
+  }
+
+  test("a segment with an unknown model type or no ticks fails the scan with its path") {
+    def written(bad: SegmentRecord): String = {
+      val file = new java.io.File(store("sgmt-damaged"), "part-bad.sgmt")
+      Files.write(file.toPath, SegmentCodec.encode(segments.take(3) :+ bad))
+      file.getAbsolutePath
     }
+    assertUnreadable(written(seg(1, 200000L, 204900L, mid = 9)), "row 3 has model type 9, which is unknown")
+    // end_time < start_time: a Size of 0
+    assertUnreadable(written(seg(1, 200000L, 199900L)), "row 3 has size 0")
   }
 }

@@ -2,11 +2,11 @@ package repro.core.views
 
 import org.apache.spark.SparkException
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.{max, min}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.datasources.v2.BatchScanExec
 import repro.{Oracle, SparkSpec, TestStore}
 import repro.core.{Catalog, ModelarDB}
+import repro.core.Types.SegmentRecord
 import repro.core.golemm.GolemmConfig
 import repro.core.grouping.Correlation
 import repro.core.storage.SegmentSource
@@ -29,28 +29,23 @@ class SegmentViewPushDownSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private val a = Udafs.SegArgsSql
 
-  /** Member rows of the store's segments of `gids`, counted from the raw
-    * segments: one per member the Gaps bitmask marks present.
+  private lazy val stored = TestStore.segments(built.cfg.storePath)
+
+  /** Members of a stored segment that its Gaps bitmask marks present. */
+  private def present(s: SegmentRecord): Long =
+    built.catalog.membersOf(s.gid).indices.count(i => (s.gaps & (1L << i)) == 0).toLong
+
+  /** Member rows of the store's segments of `gids`, counted from the
+    * decoded files: one per member the Gaps bitmask marks present.
     */
   private def memberRows(gids: Set[Int]): Long =
-    spark.read.format(SegmentSource.FormatName).load(built.cfg.storePath).collect()
-      .filter(r => gids.contains(r.getInt(0)))
-      .map { r =>
-        val gaps = r.getLong(6)
-        built.catalog.membersOf(r.getInt(0)).indices.count(i => (gaps & (1L << i)) == 0).toLong
-      }.sum
+    stored.filter(s => gids.contains(s.gid)).map(present).sum
 
   /** Points of the store's segments that overlap `[lo, hi]`, counted from
-    * the raw segments: present members times length.
+    * the decoded files: present members times length.
     */
   private def pointsOverlapping(lo: Long, hi: Long): Long =
-    spark.read.format(SegmentSource.FormatName).load(built.cfg.storePath).collect()
-      .filter(r => r.getLong(2) >= lo && r.getLong(1) <= hi)
-      .map { r =>
-        val gaps    = r.getLong(6)
-        val present = built.catalog.membersOf(r.getInt(0)).indices.count(i => (gaps & (1L << i)) == 0)
-        present * ((r.getLong(2) - r.getLong(1)) / r.getInt(3) + 1)
-      }.sum
+    stored.filter(s => s.endTime >= lo && s.startTime <= hi).map(s => present(s) * s.length).sum
 
   /** Run `df` and return the rows its segment scan produced. */
   private def scannedRows(df: DataFrame): Long = {
@@ -118,6 +113,27 @@ class SegmentViewPushDownSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(explain(in).contains(gidsShown(gids)))
   }
 
+  test("a gid range is not pushed: the scan reads every group and the answer is unchanged") {
+    ModelarDB.registerViews(spark, built.cfg, built.catalog)
+    val cat  = built.catalog
+    val gids = cat.groups.map(_.gid).sorted
+    val k    = gids(gids.length / 2)
+    assert(gids.head < k)
+    val sql  = s"SELECT tid, COUNT_S($a) AS n FROM segment_view WHERE gid >= $k GROUP BY tid"
+    val plan = explain(sql)
+    assert(!plan.contains("gid=["), plan)
+    val got  = spark.sql(sql)
+    val tids = cat.groups.filter(_.gid >= k).flatMap(_.tids)
+    Oracle.assertEquivalent(
+      got,
+      s"""SELECT CAST(tid AS INT) AS tid, COUNT(*) AS n FROM pts
+         |WHERE CAST(tid AS INT) IN (${tids.mkString(", ")})
+         |GROUP BY CAST(tid AS INT)""".stripMargin,
+      "pts" -> TestStore.rawDouble(built.dataset),
+    )
+    assert(scannedRows(got) == memberRows(gids.toSet))
+  }
+
   test("an unknown tid or dimension member selects nothing and reads no segment") {
     ModelarDB.registerViews(spark, built.cfg, built.catalog)
     assert(ModelarDB.segmentView(spark, built.cfg, built.catalog, tids = Some(Seq(999))).count() == 0)
@@ -138,9 +154,8 @@ class SegmentViewPushDownSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("a ts range or point on datapoint_view reads only the segments that overlap it") {
     ModelarDB.registerViews(spark, built.cfg, built.catalog)
-    val raw   = spark.read.format(SegmentSource.FormatName).load(built.cfg.storePath)
-    val first = raw.agg(min("start_time")).head().getLong(0)
-    val last  = raw.agg(max("end_time")).head().getLong(0)
+    val first = stored.map(_.startTime).min
+    val last  = stored.map(_.endTime).max
     val third = (last - first) / 3
     val all   = scannedRows(spark.sql("SELECT * FROM datapoint_view"))
     Seq((first + third, first + 2 * third), (first + third, first + third)).foreach { case (lo, hi) =>

@@ -20,11 +20,8 @@ class SegmentViewSpec extends SparkSpec {
 
   test("one row per represented series per segment") {
     // count of exploded rows == sum over segments of present-member count
-    val segs = spark.read.format(repro.core.storage.SegmentSource.FormatName)
-      .load(built.cfg.storePath).collect()
-    val expected = segs.map { r =>
-      val gid  = r.getInt(0); val gaps = r.getLong(6)
-      built.catalog.membersOf(gid).indices.count(i => (gaps & (1L << i)) == 0)
+    val expected = TestStore.segments(built.cfg.storePath).map { s =>
+      built.catalog.membersOf(s.gid).indices.count(i => (s.gaps & (1L << i)) == 0)
     }.sum
     assert(view.count() == expected.toLong)
   }

@@ -25,7 +25,6 @@ class TimeCubeSpec extends SparkSpec {
     // 1970-01 -> 1970-02
     assert(TimeCube.Month.floor(100L) == 0L)
     assert(TimeCube.Month.next(0L) == 31L * 86400000L)
-    assert(TimeCube.intervals.keySet == Set("hour", "day", "month"))
   }
 
   test("CUBE_SUM_HOUR per tid equals DuckDB bucketed sums (eps=0)") {
