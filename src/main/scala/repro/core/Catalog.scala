@@ -2,6 +2,8 @@ package repro.core
 
 import scala.collection.mutable
 
+import org.apache.spark.unsafe.types.UTF8String
+
 import repro.core.Types.{Group, TimeSeriesMeta}
 import repro.core.grouping.{DimensionSpec, Dimensions}
 import repro.core.storage.SegmentSource
@@ -88,17 +90,17 @@ final case class Catalog(
 /** The columns of each group that tasks read, built once on the driver from
   * a [[Catalog]] and shipped in its place: a group's members in sorted-tid
   * order (the order of the Gaps bitmask), their scaling constants and the
-  * group's SI and, for the views' readers, the members' dimension values,
-  * aligned with [[Catalog.dimColumns]]. Each array is indexed by the group's
-  * [[slot]]. Equal dimension values are one object, so a table serialises
-  * each once.
+  * group's SI and, for the views' readers, the members' dimension values as
+  * the `UTF8String`s the views' rows hold, aligned with
+  * [[Catalog.dimColumns]]. Each array is indexed by the group's [[slot]].
+  * Equal dimension values are one object, so a table serialises each once.
   */
 final class GroupTable private (
     gids: Array[Int],
     val tids: Array[Array[Int]],
     val scalings: Array[Array[Double]],
     val sis: Array[Int],
-    val dims: Array[Array[Array[String]]],
+    val dims: Array[Array[Array[UTF8String]]],
 ) extends Serializable {
 
   /** The number of groups. */
@@ -115,7 +117,7 @@ object GroupTable {
     */
   def apply(catalog: Catalog, withDims: Boolean): GroupTable = {
     val groups = catalog.groups.sortBy(_.gid)
-    val shared = mutable.HashMap.empty[String, String]
+    val shared = mutable.HashMap.empty[String, UTF8String]
     new GroupTable(
       groups.map(_.gid).toArray,
       groups.map(_.tids.toArray).toArray,
@@ -123,6 +125,6 @@ object GroupTable {
       groups.map(g => catalog.byTid(g.tids.head).si).toArray,
       if (!withDims) Array.empty
       else groups.map(_.tids.map(catalog.dimValues(_).map(v =>
-        if (v == null) null else shared.getOrElseUpdate(v, v)).toArray).toArray).toArray)
+        if (v == null) null else shared.getOrElseUpdate(v, UTF8String.fromString(v))).toArray).toArray).toArray)
   }
 }

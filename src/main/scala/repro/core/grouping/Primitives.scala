@@ -62,19 +62,29 @@ object Correlation {
   final case class Distance(threshold: Double, weights: Map[String, Double] = Map.empty)
       extends Correlation {
     require(threshold >= 0.0 && threshold <= 1.0, s"distance $threshold outside [0,1]")
+    checkWeights(weights)
     override def correlated(g1: Seq[TimeSeriesMeta], g2: Seq[TimeSeriesMeta],
-                            dims: Seq[DimensionSpec]): Boolean =
+                            dims: Seq[DimensionSpec]): Boolean = {
+      weights.keys.foreach(Primitives.dim(dims, _))
       Dimensions.distance(g1, g2, dims, weights) <= threshold
+    }
   }
 
   /** `auto` (paper Section IV-B): rewritten by the partitioner to the lowest
     * non-zero distance possible in the data set before evaluation.
     */
   final case class Auto(weights: Map[String, Double] = Map.empty) extends Correlation {
+    checkWeights(weights)
     override def correlated(g1: Seq[TimeSeriesMeta], g2: Seq[TimeSeriesMeta],
                             dims: Seq[DimensionSpec]): Boolean =
       Distance(Dimensions.autoDistance(dims), weights).correlated(g1, g2, dims)
   }
+
+  /** A distance divides by each weight, so it must be finite and positive. */
+  private def checkWeights(weights: Map[String, Double]): Unit =
+    weights.foreach { case (dim, w) =>
+      require(w > 0 && !w.isInfinite, s"weight $w of dimension $dim must be finite and positive")
+    }
 
   /** Conjunction of primitives. */
   final case class And(clauses: Seq[Correlation]) extends Correlation {

@@ -4,7 +4,7 @@ import java.io.{ByteArrayOutputStream, DataOutputStream, EOFException}
 import java.nio.{ByteBuffer, ByteOrder}
 import scala.collection.mutable.ArrayBuffer
 import repro.core.Types.SegmentRecord
-import repro.core.model.ModelType
+import repro.core.model.{ModelType, PmcMean, PmcMidrange, Swing}
 
 /** Compact binary encoding of segment files (`.sgmt`).
   *
@@ -118,8 +118,12 @@ object SegmentCodec {
     FileStats(bb.getInt(), bb.getInt(), bb.getLong(), bb.getLong(), bb.getInt())
   }
 
+  /** The parameter bytes of the model types whose parameters have one size. */
+  private val ParamBytes = Map(PmcMean.mid -> 4, PmcMidrange.mid -> 4, Swing.mid -> 8)
+
   /** Decode every segment in a file image. A row whose Size or SI is not a
-    * positive Int, or whose Mid is no model type, is rejected.
+    * positive Int, whose Mid is no model type, or whose parameters are not
+    * its fixed-size model type's size, is rejected.
     */
   def decode(bytes: Array[Byte]): Seq[SegmentRecord] = {
     val st = stats(bytes)
@@ -140,6 +144,8 @@ object SegmentCodec {
       require(size > 0 && size <= Int.MaxValue, s"row $i has size $size")
       require(si > 0 && si <= Int.MaxValue, s"row $i has sampling interval $si")
       require(ModelType.byMid.contains(mid), s"row $i has model type $mid, which is unknown")
+      require(ParamBytes.get(mid).forall(_ == plen),
+        s"row $i has $plen parameter bytes; model type $mid takes ${ParamBytes.getOrElse(mid, 0)}")
       out += SegmentRecord(gid, end - (size - 1) * si, end, si.toInt, mid, params, gaps)
       i += 1
     }

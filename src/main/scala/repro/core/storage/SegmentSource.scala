@@ -18,7 +18,6 @@ import org.apache.spark.sql.sources._
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import org.apache.spark.sql.catalyst.expressions.{GenericInternalRow, SpecificInternalRow}
-import org.apache.spark.unsafe.types.UTF8String
 
 import repro.core.{Catalog, GroupTable}
 import repro.core.Types.SegmentRecord
@@ -287,6 +286,10 @@ object SegmentSource {
     }
   }
 
+  /** The error of a scan that cannot read `file`. */
+  private[storage] def unreadable(file: String, cause: Throwable): IOException =
+    new IOException(s"segment file $file cannot be read: ${cause.getMessage}", cause)
+
   /** Total size of a store's `.sgmt` files in bytes. */
   def storeBytes(path: String): Long = listFiles(path).map(_.length()).sum
 }
@@ -361,7 +364,7 @@ private final class SegmentReaderFactory(pushed: SegmentSource.Pushed, schema: S
         val bytes = Files.readAllBytes(Paths.get(file))
         if (pushed.matchesFile(SegmentCodec.stats(bytes))) SegmentCodec.decode(bytes) else Nil
       } catch {
-        case NonFatal(e) => throw new IOException(s"segment file $file cannot be read: ${e.getMessage}", e)
+        case NonFatal(e) => throw SegmentSource.unreadable(file, e)
       }
       segments.iterator.filter(pushed.matchesRow).flatMap(rowsOf(_, file))
     }
@@ -376,30 +379,26 @@ private final class SegmentReaderFactory(pushed: SegmentSource.Pushed, schema: S
 
 /** The Segment View's explode, and the Data Point View's, for one reader: a
   * segment becomes the rows of each member of its group that the Gaps
-  * bitmask marks present, in sorted-tid order. A group's dimension values
-  * become `UTF8String`s once per reader. `schema` is the view's.
+  * bitmask marks present, in sorted-tid order, read from `groups`. `schema`
+  * is the view's.
   */
 private final class MemberRows(groups: GroupTable, schema: StructType) {
-  private final class Members(val tids: Array[Int], val scalings: Array[Double],
-                              val dims: Array[Array[UTF8String]])
 
-  private val bySlot = new Array[Members](groups.size)
-
-  private def members(gid: Int, file: String): Members = {
-    val g = groups.slot(gid)
+  /** The slot of the segment's group and the positions of its members that
+    * the Gaps bitmask marks present.
+    */
+  private def members(s: SegmentRecord, file: String): (Int, IndexedSeq[Int]) = {
+    val g = groups.slot(s.gid)
     if (g < 0) throw new IllegalStateException(
-      s"segment file $file holds gid $gid, which is not a group of the catalog")
-    if (bySlot(g) == null)
-      bySlot(g) = new Members(groups.tids(g), groups.scalings(g), groups.dims(g).map(_.map(UTF8String.fromString)))
-    bySlot(g)
+      s"segment file $file holds gid ${s.gid}, which is not a group of the catalog")
+    (g, groups.tids(g).indices.filter(i => (s.gaps & (1L << i)) == 0))
   }
 
   def of(s: SegmentRecord, file: String): Iterator[InternalRow] = {
-    val m       = members(s.gid, file)
-    val present = m.tids.indices.filter(i => (s.gaps & (1L << i)) == 0)
+    val (g, present) = members(s, file)
     present.iterator.zipWithIndex.map { case (i, sidx) =>
-      new GenericInternalRow(Array[Any](m.tids(i), s.gid, s.startTime, s.endTime, s.si, s.mid,
-        s.params, s.gaps, sidx, present.length, m.scalings(i)) ++ m.dims(i))
+      new GenericInternalRow(Array[Any](groups.tids(g)(i), s.gid, s.startTime, s.endTime, s.si, s.mid,
+        s.params, s.gaps, sidx, present.length, groups.scalings(g)(i)) ++ groups.dims(g)(i))
     }
   }
 
@@ -410,19 +409,22 @@ private final class MemberRows(groups: GroupTable, schema: StructType) {
 
   /** The segment decoded once; each present member's points in time order. */
   def points(s: SegmentRecord, file: String): Iterator[InternalRow] = {
-    val m       = members(s.gid, file)
-    val present = m.tids.indices.filter(i => (s.gaps & (1L << i)) == 0)
+    val (g, present) = members(s, file)
     val n       = present.length
     val len     = ((s.endTime - s.startTime) / s.si).toInt + 1
-    val decoded = ModelType.byMid(s.mid).decode(s.params, n, len)
+    val decoded = try ModelType.byMid(s.mid).decode(s.params, n, len) catch {
+      case NonFatal(e) => throw SegmentSource.unreadable(file, e)
+    }
     present.iterator.zipWithIndex.flatMap { case (i, sidx) =>
-      point.setInt(0, m.tids(i))
-      m.dims(i).indices.foreach(d => point.update(3 + d, m.dims(i)(d)))
+      val dims    = groups.dims(g)(i)
+      val scaling = groups.scalings(g)(i)
+      point.setInt(0, groups.tids(g)(i))
+      dims.indices.foreach(d => point.update(3 + d, dims(d)))
       var t = -1
       Iterator.fill(len) {
         t += 1
         point.setLong(1, s.startTime + t.toLong * s.si)
-        point.setFloat(2, (decoded(t * n + sidx) * m.scalings(i)).toFloat)
+        point.setFloat(2, (decoded(t * n + sidx) * scaling).toFloat)
         point
       }
     }

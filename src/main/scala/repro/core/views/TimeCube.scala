@@ -3,7 +3,9 @@ package repro.core.views
 import java.time.{Instant, ZoneOffset, ZonedDateTime}
 import java.time.temporal.ChronoUnit
 
-import org.apache.spark.sql.DataFrame
+import scala.reflect.runtime.universe.TypeTag
+
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Aggregates in the time dimension computed directly on models — the
@@ -42,6 +44,26 @@ object TimeCube {
         .plusMonths(1).toInstant.toEpochMilli
   }
 
+  /** One bucket holding every tick: the `*_S` UDAFs' whole-segment case. */
+  private[views] case object Whole extends Interval {
+    override def floor(ts: Long): Long         = Long.MinValue
+    override def next(bucketStart: Long): Long = Long.MaxValue
+  }
+
+  /** A UDF over a Segment View row's [[Udafs.SegFields]], applied to them. */
+  private def segUdf[R: TypeTag](f: Udafs.Seg => R): Column =
+    udf { (start: Long, end: Long, si: Int, mid: Int, params: Array[Byte],
+           sidx: Int, nseries: Int, scaling: Double) =>
+      f(Udafs.Seg(start, end, si, mid, params, sidx, nseries, scaling))
+    }.apply(Udafs.SegFields.map(col): _*)
+
+  /** The columns a per-segment result keeps from a Segment View: `tid`, the
+    * dimension columns and any caller-added ones, without the model internals.
+    */
+  private def passThrough(segView: DataFrame): Seq[String] =
+    segView.columns.toSeq.filterNot(c =>
+      Udafs.SegFields.contains(c) || c == "gaps" || c == "gid")
+
   /** Per-(row, bucket) partial aggregates of a Segment View: the input
     * columns minus the model internals, plus `(bucket, cnt, psum, pmin,
     * pmax)`. Callers GROUP BY `bucket` and any dimension columns and merge
@@ -50,8 +72,8 @@ object TimeCube {
     */
   def partials(segView: DataFrame, interval: Interval): DataFrame =
     segView
-      .withColumn("b", explode(SegmentView.segUdf(_.buckets(interval))))
-      .select((SegmentView.passThrough(segView).map(col) :+
+      .withColumn("b", explode(segUdf(_.buckets(interval))))
+      .select((passThrough(segView).map(col) :+
         col("b._1").as("bucket") :+ col("b._2").as("cnt") :+
         col("b._3").as("psum") :+ col("b._4").as("pmin") :+ col("b._5").as("pmax")): _*)
 

@@ -15,9 +15,21 @@ import repro.core.Types.SeriesAgg
   */
 object Udafs {
 
-  /** One Segment View row's model columns, in [[SegmentView.SegFields]]
-    * order (field order matters): the `*_S` arguments and the input of the
-    * `CUBE_*` UDF.
+  /** The model columns of a Segment View row: the `*_S` arguments and the
+    * input of the `CUBE_*` UDF.
+    */
+  private[views] val SegFields: Seq[String] =
+    Seq("start_time", "end_time", "si", "mid", "params", "sidx", "nseries", "scaling")
+
+  /** The argument list the `*_S` UDAFs take in SQL: Spark flattens the
+    * product input encoder into one parameter per field, so calls look like
+    * `SUM_S(start_time, end_time, si, mid, params, sidx, nseries, scaling)`
+    * — i.e. `SUM_S($SegArgsSql)` on the Segment View.
+    */
+  val SegArgsSql: String = SegFields.mkString(", ")
+
+  /** One Segment View row's model columns, in [[SegFields]] order (field
+    * order matters).
     */
   final case class Seg(
       start_time: Long,
@@ -29,72 +41,55 @@ object Udafs {
       nseries: Int,
       scaling: Double,
   ) {
-    /** This series' aggregate over the whole segment, scaling applied. */
-    def seriesAgg: SeriesAgg =
-      Udafs.scale(SegmentEval.aggregates(mid, start_time, end_time, si, params, nseries)(sidx),
-                  scaling)
-
     /** This series' `(bucket, count, sum, min, max)` per bucket of
       * `interval`, scaling applied.
       */
     def buckets(interval: TimeCube.Interval): Seq[(Long, Long, Double, Double, Double)] = {
       val b = SegmentEval.buckets(mid, start_time, end_time, si, params, nseries, interval)
       b.starts.indices.map { i =>
-        val a = Udafs.scale(b.aggs(i)(sidx), scaling)
+        val a = scale(b.aggs(i)(sidx))
         (b.starts(i), a.count, a.sum, a.min, a.max)
       }
     }
+
+    /** This series' aggregate over the whole segment, scaling applied. */
+    def seriesAgg: SeriesAgg =
+      scale(SegmentEval.buckets(mid, start_time, end_time, si, params, nseries, TimeCube.Whole).aggs(0)(sidx))
+
+    private def scale(a: SeriesAgg): SeriesAgg =
+      if (scaling == 1.0) a
+      else if (scaling >= 0)
+        SeriesAgg(a.count, a.sum * scaling, a.min * scaling, a.max * scaling)
+      else
+        SeriesAgg(a.count, a.sum * scaling, a.max * scaling, a.min * scaling)
   }
 
-  private[views] def scale(a: SeriesAgg, scaling: Double): SeriesAgg =
-    if (scaling == 1.0) a
-    else if (scaling >= 0)
-      SeriesAgg(a.count, a.sum * scaling, a.min * scaling, a.max * scaling)
-    else
-      SeriesAgg(a.count, a.sum * scaling, a.max * scaling, a.min * scaling)
+  private val aggEncoder: Encoder[SeriesAgg] = Encoders.product[SeriesAgg]
 
-  private implicit val aggEnc: Encoder[SeriesAgg] = Encoders.product[SeriesAgg]
-
-  /** Shared reduction over [[SeriesAgg]]; `finish` selects the statistic. */
-  private abstract class SegAggregator[OUT: Encoder] extends Aggregator[Seg, SeriesAgg, OUT] {
-    override def zero: SeriesAgg                             = SeriesAgg.empty
-    override def reduce(b: SeriesAgg, s: Seg): SeriesAgg     = b.merge(s.seriesAgg)
-    override def merge(b1: SeriesAgg, b2: SeriesAgg): SeriesAgg = b1.merge(b2)
-    override def bufferEncoder: Encoder[SeriesAgg]           = aggEnc
-    override def outputEncoder: Encoder[OUT]                 = implicitly[Encoder[OUT]]
-  }
-
-  val countS: Aggregator[Seg, SeriesAgg, Long] = new SegAggregator[Long]()(Encoders.scalaLong) {
-    override def finish(b: SeriesAgg): Long = b.count
-  }
-  val sumS: Aggregator[Seg, SeriesAgg, Double] = new SegAggregator[Double]()(Encoders.scalaDouble) {
-    override def finish(b: SeriesAgg): Double = b.sum
-  }
-  val minS: Aggregator[Seg, SeriesAgg, Double] = new SegAggregator[Double]()(Encoders.scalaDouble) {
-    override def finish(b: SeriesAgg): Double = if (b.count == 0) Double.NaN else b.min
-  }
-  val maxS: Aggregator[Seg, SeriesAgg, Double] = new SegAggregator[Double]()(Encoders.scalaDouble) {
-    override def finish(b: SeriesAgg): Double = if (b.count == 0) Double.NaN else b.max
-  }
-  val avgS: Aggregator[Seg, SeriesAgg, Double] = new SegAggregator[Double]()(Encoders.scalaDouble) {
-    override def finish(b: SeriesAgg): Double = if (b.count == 0) Double.NaN else b.sum / b.count
-  }
-
-  /** The argument list the `*_S` UDAFs take in SQL: Spark flattens the
-    * product input encoder into one parameter per field, so calls look like
-    * `SUM_S(start_time, end_time, si, mid, params, sidx, nseries, scaling)`
-    * — i.e. `SUM_S($SegArgsSql)` on the Segment View.
+  /** A `*_S` UDAF: merges its rows' [[Seg.seriesAgg]]s, then `finishWith`
+    * selects the statistic.
     */
-  val SegArgsSql: String = SegmentView.SegFields.mkString(", ")
+  private final class SegAggregator[OUT](finishWith: SeriesAgg => OUT)(implicit out: Encoder[OUT])
+      extends Aggregator[Seg, SeriesAgg, OUT] {
+    override def zero: SeriesAgg                                = SeriesAgg.empty
+    override def reduce(b: SeriesAgg, s: Seg): SeriesAgg        = b.merge(s.seriesAgg)
+    override def merge(b1: SeriesAgg, b2: SeriesAgg): SeriesAgg = b1.merge(b2)
+    override def finish(b: SeriesAgg): OUT                      = finishWith(b)
+    override def bufferEncoder: Encoder[SeriesAgg]              = aggEncoder
+    override def outputEncoder: Encoder[OUT]                    = out
+  }
 
   /** Register every `*_S` UDAF in the session's function registry so they are
     * usable from SQL on the Segment View.
     */
   def register(spark: SparkSession): Unit = {
-    spark.udf.register("COUNT_S", udaf(countS))
-    spark.udf.register("SUM_S", udaf(sumS))
-    spark.udf.register("MIN_S", udaf(minS))
-    spark.udf.register("MAX_S", udaf(maxS))
-    spark.udf.register("AVG_S", udaf(avgS))
+    implicit val double: Encoder[Double] = Encoders.scalaDouble
+    Seq[(String, Aggregator[Seg, SeriesAgg, _])](
+      "COUNT_S" -> new SegAggregator(_.count)(Encoders.scalaLong),
+      "SUM_S"   -> new SegAggregator(_.sum),
+      "MIN_S"   -> new SegAggregator(b => if (b.count == 0) Double.NaN else b.min),
+      "MAX_S"   -> new SegAggregator(b => if (b.count == 0) Double.NaN else b.max),
+      "AVG_S"   -> new SegAggregator(b => if (b.count == 0) Double.NaN else b.sum / b.count),
+    ).foreach { case (name, agg) => spark.udf.register(name, udaf(agg)) }
   }
 }

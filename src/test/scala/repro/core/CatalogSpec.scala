@@ -3,6 +3,7 @@ package repro.core
 import java.io.File
 import java.nio.file.Files
 
+import org.apache.spark.unsafe.types.UTF8String
 import org.scalatest.funsuite.AnyFunSuite
 import repro.bench.Stores
 import repro.core.Types.{Group, TimeSeriesMeta}
@@ -33,7 +34,8 @@ class CatalogSpec extends AnyFunSuite {
     val g = table.slot(2)
     assert(table.tids(g).toSeq == Seq(3, 4) && table.scalings(g).toSeq == Seq(1.5, 2.0))
     assert(table.sis(g) == 100)
-    assert(table.dims(g).map(_.toSeq).toSeq == Seq(Seq("p2", "e3", "speed"), Seq("p2", "e4", "temp")))
+    assert(table.dims(g).map(_.toSeq).toSeq ==
+      Seq(Seq("p2", "e3", "speed"), Seq("p2", "e4", "temp")).map(_.map(UTF8String.fromString)))
     // Equal values are one object, so the table serialises each once.
     assert(table.dims(g)(0)(0) eq table.dims(g)(1)(0))
     assert(GroupTable(scaled, withDims = false).dims.isEmpty)

@@ -72,6 +72,13 @@ class PrimitivesSpec extends AnyFunSuite {
   test("Distance outside [0,1] rejected") {
     intercept[IllegalArgumentException](Correlation.Distance(1.5))
     intercept[IllegalArgumentException](Correlation.Distance(-0.1))
+    // A weight must be finite and positive: the distance divides by it.
+    Seq(-1.0, 0.0, Double.NaN, Double.PositiveInfinity).foreach { w =>
+      val d = intercept[IllegalArgumentException](Correlation.Distance(0.5, Map("Location" -> w)))
+      assert(d.getMessage.contains(s"weight $w of dimension Location"), d.getMessage)
+      val a = intercept[IllegalArgumentException](Correlation.Auto(Map("Measure" -> w)))
+      assert(a.getMessage.contains(s"weight $w of dimension Measure"), a.getMessage)
+    }
   }
 
   test("Auto rewrites to the lowest non-zero distance") {
@@ -105,5 +112,11 @@ class PrimitivesSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] {
       Correlation.Lca("Nope", 1).correlated(Seq(a), Seq(b), dims)
     }
+    // A weight on a dimension the data set does not have.
+    Seq(Correlation.Distance(1.0, Map("Locaton" -> 2.0)), Correlation.Auto(Map("Locaton" -> 2.0)))
+      .foreach { cl =>
+        val e = intercept[IllegalArgumentException](cl.correlated(Seq(a), Seq(b), dims))
+        assert(e.getMessage == "unknown dimension Locaton", cl)
+      }
   }
 }

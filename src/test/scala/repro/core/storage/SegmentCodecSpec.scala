@@ -14,8 +14,11 @@ class SegmentCodecSpec extends AnyFunSuite {
       val size = 1 + rng.nextInt(50)
       end += rng.nextInt(100000).toLong + 1
       val start  = end - (size - 1).toLong * si
-      val params = Array.fill(rng.nextInt(20))(rng.nextInt().toByte)
-      SegmentRecord(1 + rng.nextInt(100), start, end, si, rng.nextInt(5), params,
+      val mid    = rng.nextInt(5)
+      // PMC-Mean and PMC-MR (mids 1, 4) take 4 parameter bytes, Swing (2) 8.
+      val plen   = Map(1 -> 4, 4 -> 4, 2 -> 8).getOrElse(mid, rng.nextInt(20))
+      val params = Array.fill(plen)(rng.nextInt().toByte)
+      SegmentRecord(1 + rng.nextInt(100), start, end, si, mid, params,
                     rng.nextLong() & 0xFFFF)
     }
   }
@@ -48,7 +51,7 @@ class SegmentCodecSpec extends AnyFunSuite {
 
   test("start time is recomputed from size, not stored") {
     // a 1-tick segment: start == end regardless of si
-    val s = SegmentRecord(1, 500L, 500L, 60000, 2, Array.empty[Byte], 0L)
+    val s = SegmentRecord(1, 500L, 500L, 60000, 2, new Array[Byte](8), 0L)
     assert(SegmentCodec.decode(SegmentCodec.encode(Seq(s))).head.startTime == 500L)
   }
 

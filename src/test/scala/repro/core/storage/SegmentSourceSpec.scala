@@ -10,9 +10,9 @@ import repro.core.Types.{Group, SegmentRecord, TimeSeriesMeta}
 
 class SegmentSourceSpec extends SparkSpec {
 
-  private def seg(gid: Int, start: Long, end: Long, si: Int = 100, mid: Int = 1): SegmentRecord =
-    SegmentRecord(gid, start, end, si, mid,
-                  java.nio.ByteBuffer.allocate(4).putFloat(1.5f).array(), 0L)
+  private def seg(gid: Int, start: Long, end: Long, si: Int = 100, mid: Int = 1,
+                  params: Array[Byte] = java.nio.ByteBuffer.allocate(4).putFloat(1.5f).array()): SegmentRecord =
+    SegmentRecord(gid, start, end, si, mid, params, 0L)
 
   private def segments: Seq[SegmentRecord] =
     (1 to 4).flatMap { gid =>
@@ -191,5 +191,18 @@ class SegmentSourceSpec extends SparkSpec {
     assertUnreadable(written(seg(1, 200000L, 204900L, mid = 9)), "row 3 has model type 9, which is unknown")
     // end_time < start_time: a Size of 0
     assertUnreadable(written(seg(1, 200000L, 199900L)), "row 3 has size 0")
+    // Parameters that do not fit the model type: PMC-Mean takes 4 bytes, Swing 8.
+    assertUnreadable(written(seg(1, 200000L, 204900L, params = new Array[Byte](3))),
+                     "row 3 has 3 parameter bytes; model type 1 takes 4")
+    assertUnreadable(written(seg(1, 200000L, 204900L, params = new Array[Byte](5))),
+                     "row 3 has 5 parameter bytes; model type 1 takes 4")
+    assertUnreadable(written(seg(1, 200000L, 204900L, mid = 2)),
+                     "row 3 has 4 parameter bytes; model type 2 takes 8")
+    // A Gorilla blob too short for its ticks decodes row by row in the Data
+    // Point View's reader, which names the file too.
+    val short = written(seg(1, 200000L, 204900L, mid = 3, params = new Array[Byte](2)))
+    val e = intercept[org.apache.spark.SparkException](pointView(new java.io.File(short).getParent).collect())
+    assert(e.getMessage.contains(s"segment file $short cannot be read") && e.getMessage.contains("bit underflow"),
+           e.getMessage)
   }
 }

@@ -54,6 +54,29 @@ class SegmentEvalSpec extends SparkSpec {
       raw)
   }
 
+  test("segments before the epoch: *_S and CUBE_SUM_HOUR equal DuckDB (eps=0)") {
+    val gen = TimeSeriesGen.efLike(spark, sf = 0.001, gapProb = 0.01, gapLenMax = 20, seed = 63)
+    // Every timestamp negative; the last 25 s fall in a later hour than the rest.
+    val ds = gen.copy(points = gen.points.withColumn("ts", col("ts") - lit(3600000L + 25000L)))
+    val b  = TestStore.build(spark, ds, efClauses, GolemmConfig(epsilonPct = 0.0))
+    val sv = ModelarDB.segmentView(spark, b.cfg, b.catalog)
+    assert(sv.agg(max("end_time")).head().getLong(0) < 0, "sanity: every segment ends before the epoch")
+    val raw = "pts" -> TestStore.rawDouble(ds)
+
+    Oracle.assertEquivalent(
+      sAggs(sv, "tid"),
+      """SELECT CAST(tid AS INT) AS tid, COUNT(*) AS n, SUM(CAST(value AS DOUBLE)) AS s,
+        |       MIN(CAST(value AS DOUBLE)) AS mn, MAX(CAST(value AS DOUBLE)) AS mx
+        |FROM pts GROUP BY CAST(tid AS INT)""".stripMargin, raw)
+    // DuckDB's % keeps the dividend's sign, so the bucket is ts minus its floor modulus.
+    Oracle.assertEquivalent(
+      TimeCube.cube(sv, TimeCube.Hour, "sum"),
+      """SELECT CAST(tid AS INT) AS tid,
+        |       CAST(ts AS BIGINT) - ((CAST(ts AS BIGINT) % 3600000) + 3600000) % 3600000 AS bucket,
+        |       SUM(CAST(value AS DOUBLE)) AS value
+        |FROM pts GROUP BY 1, 2""".stripMargin, raw)
+  }
+
   test("two stores sharing (gid, start_time), read interleaved in one task, keep their own answers") {
     val ds1 = TimeSeriesGen.efLike(spark, sf = 0.0005, gapProb = 0.01, gapLenMax = 20, seed = 62)
     // Same series, groups and timestamps; doubled values fit the same segments.

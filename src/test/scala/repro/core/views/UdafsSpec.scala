@@ -47,6 +47,16 @@ class UdafsSpec extends SparkSpec {
     rows.foreach(r => assert(math.abs(r.getDouble(1) - r.getDouble(2)) < 1e-9))
   }
 
+  test("on an empty selection COUNT_S is 0, SUM_S 0.0 and MIN_S, MAX_S, AVG_S NaN") {
+    registered()
+    val a = Udafs.SegArgsSql
+    val r = spark.sql(
+      s"SELECT COUNT_S($a), SUM_S($a), MIN_S($a), MAX_S($a), AVG_S($a) FROM segment_view WHERE tid = -1")
+      .head()
+    assert(r.getLong(0) == 0L && r.getDouble(1) == 0.0, r)
+    assert((2 to 4).forall(i => r.getDouble(i).isNaN), r)
+  }
+
   test("global aggregate over all series matches DuckDB") {
     registered()
     val got = spark.sql(s"SELECT SUM_S(${Udafs.SegArgsSql}) AS s, COUNT_S(${Udafs.SegArgsSql}) AS n FROM segment_view")
